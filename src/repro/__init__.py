@@ -45,7 +45,8 @@ from repro.semisupervision.knowledge import Knowledge
 from repro.serving import ModelArtifact, ProjectedClusterIndex, load_artifact
 from repro.stream import StreamConfig, StreamingSSPC
 
-__version__ = "1.2.0"
+#: Must equal ``[project] version`` in pyproject.toml (tests/test_version.py).
+__version__ = "1.6.0"
 
 __all__ = [
     "SSPC",

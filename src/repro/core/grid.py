@@ -99,13 +99,16 @@ class Grid:
     # construction
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
-        values = self.data[np.ix_(self.object_indices, self.dimensions)]
-        lows = values.min(axis=0)
-        highs = values.max(axis=0)
+        # One row per building dimension: every reduction below then runs
+        # along contiguous memory.  The arithmetic is elementwise, so the
+        # bins are the ones a row-per-object layout gives.
+        values = self.data.T[self.dimensions].take(self.object_indices, axis=1)
+        lows = values.min(axis=1)
+        highs = values.max(axis=1)
         spans = np.where(highs > lows, highs - lows, 1.0)
         # Scale each coordinate into [0, bins) and clip the right edge so the
         # maximum falls in the last bin rather than a phantom extra bin.
-        scaled = (values - lows) / spans * self.bins_per_dimension
+        scaled = (values - lows[:, None]) / spans[:, None] * self.bins_per_dimension
         bin_indices = np.minimum(scaled.astype(int), self.bins_per_dimension - 1)
 
         self._lows = lows
@@ -113,26 +116,27 @@ class Grid:
         # Group objects by cell in one vectorised pass: stable lexsort of
         # the bin tuples brings equal cells together (lexsort handles any
         # number of building dimensions — no dense cell-id encoding that
-        # could overflow for large bins ** c), then split at the row
-        # boundaries.  Cells are inserted in first-occurrence (row) order
-        # and members keep their row order, so the mapping — including
-        # the iteration-order tie-breaking of :meth:`absolute_peak` — is
-        # identical to the per-row dictionary build it replaces.
+        # could overflow for large bins ** c), then split at the boundaries.
+        # Cells are inserted in first-occurrence (row) order and members
+        # keep their row order, so the mapping — including the
+        # iteration-order tie-breaking of :meth:`absolute_peak` — is
+        # identical to a per-row dictionary build.  The cell keys come
+        # from one ``tolist()`` of the cells' first rows.
         self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
-        n_rows = bin_indices.shape[0]
+        n_rows = bin_indices.shape[1]
         if n_rows == 0:
             return
-        order = np.lexsort(bin_indices.T)
-        sorted_bins = bin_indices[order]
-        sorted_objects = np.asarray(self.object_indices, dtype=int)[order]
-        changed = np.any(sorted_bins[1:] != sorted_bins[:-1], axis=1)
+        order = np.lexsort(bin_indices)
+        sorted_bins = bin_indices[:, order]
+        sorted_objects = self.object_indices[order]
+        changed = np.any(sorted_bins[:, 1:] != sorted_bins[:, :-1], axis=0)
         starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
         first_rows = order[starts]
         ends = np.concatenate((starts[1:], [n_rows]))
-        for position in np.argsort(first_rows, kind="stable"):
-            start, end = int(starts[position]), int(ends[position])
-            cell = tuple(int(b) for b in bin_indices[first_rows[position]])
-            self._cells[cell] = sorted_objects[start:end]
+        perm = np.argsort(first_rows, kind="stable")
+        keys = bin_indices[:, first_rows[perm]].T.tolist()
+        for key, start, end in zip(keys, starts[perm].tolist(), ends[perm].tolist()):
+            self._cells[tuple(key)] = sorted_objects[start:end]
 
     # ------------------------------------------------------------------ #
     # cell queries

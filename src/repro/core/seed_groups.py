@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.dimension_selection import select_dimensions
 from repro.core.grid import Grid, one_dimensional_density_profile
 from repro.core.objective import ObjectiveFunction
@@ -192,17 +193,19 @@ class SeedGroupBuilder:
         order = self._initialisation_order()
 
         private_groups: Dict[int, SeedGroup] = {}
-        existing_groups: List[SeedGroup] = []
-        excluded_objects: set = set()
+        # Objects not yet claimed as seeds by an earlier group, and the
+        # max-min anchor's running distances to those groups' seeds.
+        available = np.ones(self.objective.n_objects, dtype=bool)
+        anchor = _MaxMinAnchor(self.objective.data)
 
         for cluster_index in order:
             kind = self.knowledge.knowledge_kind(cluster_index)
             if kind == "none":
                 continue
-            group = self._build_private_group(cluster_index, kind, excluded_objects, rng)
+            group = self._build_private_group(cluster_index, kind, available, rng)
             private_groups[cluster_index] = group
-            existing_groups.append(group)
-            excluded_objects.update(int(seed) for seed in group.seeds)
+            available[group.seeds] = False
+            anchor.add(group)
 
         n_without_knowledge = sum(
             1 for cluster_index in range(self.n_clusters) if cluster_index not in private_groups
@@ -210,12 +213,12 @@ class SeedGroupBuilder:
         public_groups: List[SeedGroup] = []
         n_public = self.public_group_factor * max(n_without_knowledge, 0)
         for _ in range(n_public):
-            group = self._build_public_group(existing_groups, excluded_objects, rng)
+            group = self._build_public_group(available, anchor, rng)
             if group.n_seeds == 0:
                 continue
             public_groups.append(group)
-            existing_groups.append(group)
-            excluded_objects.update(int(seed) for seed in group.seeds)
+            available[group.seeds] = False
+            anchor.add(group)
         return private_groups, public_groups
 
     # ------------------------------------------------------------------ #
@@ -238,26 +241,29 @@ class SeedGroupBuilder:
         self,
         cluster_index: int,
         kind: str,
-        excluded_objects: set,
+        available: np.ndarray,
         rng: np.random.Generator,
     ) -> SeedGroup:
+        available_objects = np.flatnonzero(available)
         labeled_objects = self.knowledge.objects.for_class(cluster_index)
         labeled_dimensions = self.knowledge.dimensions.for_class(cluster_index)
 
         if kind in ("both", "objects"):
-            candidate_dims, candidate_weights = self._candidates_from_labeled_objects(
-                labeled_objects,
-                labeled_dimensions if kind == "both" else np.empty(0, dtype=int),
-            )
-            anchor = self._labeled_object_anchor(labeled_objects)
+            with obs.span("fit.seed_groups.select_dim", category="fit"):
+                candidate_dims, candidate_weights = self._candidates_from_labeled_objects(
+                    labeled_objects,
+                    labeled_dimensions if kind == "both" else np.empty(0, dtype=int),
+                )
+            with obs.span("fit.seed_groups.anchor", category="fit"):
+                anchor = self._labeled_object_anchor(labeled_objects)
             seeds, peak_density = self._search_grids(
-                candidate_dims, candidate_weights, anchor, excluded_objects, rng
+                candidate_dims, candidate_weights, anchor, available_objects, rng
             )
         else:  # kind == "dimensions"
             candidate_dims = labeled_dimensions
             candidate_weights = np.ones(candidate_dims.size)
             seeds, peak_density = self._search_grids(
-                candidate_dims, candidate_weights, None, excluded_objects, rng
+                candidate_dims, candidate_weights, None, available_objects, rng
             )
 
         if seeds.size == 0:
@@ -266,9 +272,10 @@ class SeedGroupBuilder:
             seeds = labeled_objects if labeled_objects.size else np.empty(0, dtype=int)
 
         forced = labeled_dimensions if kind in ("both", "dimensions") else None
-        dimensions = select_dimensions(
-            self.objective, seeds, forced_dimensions=forced, threshold=self._seed_threshold
-        )
+        with obs.span("fit.seed_groups.select_dim", category="fit"):
+            dimensions = select_dimensions(
+                self.objective, seeds, forced_dimensions=forced, threshold=self._seed_threshold
+            )
         if dimensions.size == 0 and labeled_dimensions.size:
             dimensions = labeled_dimensions
         return SeedGroup(
@@ -337,25 +344,27 @@ class SeedGroupBuilder:
     # ------------------------------------------------------------------ #
     def _build_public_group(
         self,
-        existing_groups: List[SeedGroup],
-        excluded_objects: set,
+        available: np.ndarray,
+        anchor: _MaxMinAnchor,
         rng: np.random.Generator,
     ) -> SeedGroup:
-        available = self._available_objects(excluded_objects)
-        if available.size == 0:
+        available_objects = np.flatnonzero(available)
+        if available_objects.size == 0:
             # Every object is already claimed by earlier seed groups; there is
             # nothing left to anchor a new public group on.
             return SeedGroup(seeds=[], dimensions=[], cluster=None, knowledge_kind="none")
-        anchor_index = self._max_min_object(existing_groups, excluded_objects, rng)
-        anchor = self.objective.data[anchor_index]
+        with obs.span("fit.seed_groups.anchor", category="fit"):
+            anchor_index = anchor.pick(available_objects, rng)
+        anchor_point = self.objective.data[anchor_index]
 
-        histogram_bins = max(2 * self._effective_bins(available.size), 8)
-        densities = one_dimensional_density_profile(
-            self.objective.data,
-            anchor,
-            bins=histogram_bins,
-            restrict_to=available,
-        )
+        histogram_bins = max(2 * self._effective_bins(available_objects.size), 8)
+        with obs.span("fit.seed_groups.density_profile", category="fit"):
+            densities = one_dimensional_density_profile(
+                self.objective.data,
+                anchor_point,
+                bins=histogram_bins,
+                restrict_to=available_objects,
+            )
         candidates = np.arange(self.objective.n_dimensions)
         # Weight dimensions by their density *excess* over the uniform
         # baseline (1/bins): a dimension relevant to the cluster centred at
@@ -364,10 +373,13 @@ class SeedGroupBuilder:
         baseline = 1.0 / histogram_bins
         weights = np.maximum(densities - baseline, 0.0) + 0.1 * baseline
 
-        seeds, peak_density = self._search_grids(candidates, weights, anchor, excluded_objects, rng)
+        seeds, peak_density = self._search_grids(
+            candidates, weights, anchor_point, available_objects, rng
+        )
         if seeds.size == 0:
             seeds = np.asarray([anchor_index], dtype=int)
-        dimensions = select_dimensions(self.objective, seeds, threshold=self._seed_threshold)
+        with obs.span("fit.seed_groups.select_dim", category="fit"):
+            dimensions = select_dimensions(self.objective, seeds, threshold=self._seed_threshold)
         return SeedGroup(
             seeds=seeds,
             dimensions=dimensions,
@@ -375,47 +387,6 @@ class SeedGroupBuilder:
             knowledge_kind="none",
             peak_density=peak_density,
         )
-
-    def _max_min_object(
-        self,
-        existing_groups: List[SeedGroup],
-        excluded_objects: set,
-        rng: np.random.Generator,
-    ) -> int:
-        """Object whose minimum distance to all picked seeds is maximal.
-
-        Distances to each group's seeds are computed in the group's
-        estimated relevant subspace and normalised by the number of
-        dimensions (Section 4.2.4).  With no existing groups the anchor
-        is a random object.
-        """
-        available = self._available_objects(excluded_objects)
-        if available.size == 0:
-            available = np.arange(self.objective.n_objects)
-        groups_with_seeds = [
-            group for group in existing_groups if group.n_seeds > 0 and group.dimensions.size > 0
-        ]
-        if not groups_with_seeds:
-            return int(available[rng.integers(available.size)])
-
-        min_distance = np.full(available.size, np.inf)
-        for group in groups_with_seeds:
-            dims = group.dimensions
-            seeds = self.objective.data[np.ix_(group.seeds, dims)]
-            candidates = self.objective.data[np.ix_(available, dims)]
-            # normalised squared Euclidean distance to every seed of the group
-            diffs = candidates[:, None, :] - seeds[None, :, :]
-            distances = (diffs ** 2).sum(axis=2).min(axis=1) / dims.size
-            min_distance = np.minimum(min_distance, distances)
-        return int(available[int(np.argmax(min_distance))])
-
-    def _available_objects(self, excluded_objects: set) -> np.ndarray:
-        """Objects not yet claimed as seeds by previously built groups."""
-        if not excluded_objects:
-            return np.arange(self.objective.n_objects)
-        mask = np.ones(self.objective.n_objects, dtype=bool)
-        mask[list(excluded_objects)] = False
-        return np.flatnonzero(mask)
 
     def _effective_bins(self, n_available: int) -> int:
         """Bins per grid dimension.
@@ -441,42 +412,104 @@ class SeedGroupBuilder:
         candidate_dimensions: np.ndarray,
         weights: np.ndarray,
         anchor: Optional[np.ndarray],
-        excluded_objects: set,
+        available: np.ndarray,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, int]:
-        """Build ``grids_per_group`` grids and return the densest peak's members."""
+        """Build ``grids_per_group`` grids over ``available`` objects.
+
+        Returns the densest peak's members and its density.
+        """
         candidate_dimensions = np.asarray(candidate_dimensions, dtype=int)
-        if candidate_dimensions.size == 0:
+        if candidate_dimensions.size == 0 or available.size == 0:
             return np.empty(0, dtype=int), 0
         weights = np.asarray(weights, dtype=float)
         probabilities = weights / weights.sum() if weights.sum() > 0 else None
-
-        available = self._available_objects(excluded_objects)
-        if available.size == 0:
-            return np.empty(0, dtype=int), 0
 
         n_building = min(self.grid_dimensions, candidate_dimensions.size)
         bins = self._effective_bins(available.size)
         best_members = np.empty(0, dtype=int)
         best_density = 0
-        for _ in range(self.grids_per_group):
-            building = rng.choice(
-                candidate_dimensions,
-                size=n_building,
-                replace=False,
-                p=probabilities,
-            )
-            grid = Grid(
-                self.objective.data,
-                building,
-                bins_per_dimension=bins,
-                restrict_to=available,
-            )
-            if anchor is not None:
-                result = grid.hill_climb(anchor)
-            else:
-                result = grid.absolute_peak()
-            if result.density > best_density:
-                best_density = result.density
-                best_members = result.members
+        with obs.span("fit.seed_groups.grids", category="fit", grids=self.grids_per_group):
+            for _ in range(self.grids_per_group):
+                building = rng.choice(
+                    candidate_dimensions,
+                    size=n_building,
+                    replace=False,
+                    p=probabilities,
+                )
+                grid = Grid(
+                    self.objective.data,
+                    building,
+                    bins_per_dimension=bins,
+                    restrict_to=available,
+                )
+                if anchor is not None:
+                    result = grid.hill_climb(anchor)
+                else:
+                    result = grid.absolute_peak()
+                if result.density > best_density:
+                    best_density = result.density
+                    best_members = result.members
         return best_members, best_density
+
+
+class _MaxMinAnchor:
+    """The max-min object of Section 4.2.4, kept up to date group by group.
+
+    A public group is anchored on the available object whose minimum
+    distance to the seeds of every group built so far is largest.  The
+    distance to one group is the squared Euclidean distance to its
+    nearest seed in the group's dimensions, divided by their number.
+    One length-``n`` vector keeps each object's running minimum, and each
+    group is folded into it once, at the first pick after the group was
+    added (so a build with no public groups computes no distances).
+    Elementwise ``min`` does not depend on order and each row's distance
+    does not depend on which other rows are evaluated with it, so the
+    anchor is the one a recompute over every group picks.
+
+    Groups without seeds or without dimensions carry no distance and are
+    skipped.  Until a group with both has been added, the anchor is a
+    random available object.
+    """
+
+    #: Elements of the ``(rows, seeds, dimensions)`` difference block
+    #: evaluated at once (2 MiB): bounds the temporary memory of a fold and
+    #: keeps the block in cache.
+    BLOCK_ELEMENTS = 1 << 18
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = data
+        self.min_distance = np.full(data.shape[0], np.inf)
+        self.groups: List[SeedGroup] = []
+        self._n_folded = 0
+
+    def add(self, group: SeedGroup) -> None:
+        """Record a built group; its distances are folded in at the next pick."""
+        if group.n_seeds > 0 and group.dimensions.size > 0:
+            self.groups.append(group)
+
+    def pick(self, available: np.ndarray, rng: np.random.Generator) -> int:
+        """The max-min object among ``available`` (all objects if empty)."""
+        for group in self.groups[self._n_folded :]:
+            self._fold(group)
+        self._n_folded = len(self.groups)
+        if available.size == 0:
+            available = np.arange(self.data.shape[0])
+        if not self.groups:
+            return int(available[rng.integers(available.size)])
+        return int(available[int(np.argmax(self.min_distance[available]))])
+
+    def _fold(self, group: SeedGroup) -> None:
+        dims = group.dimensions
+        seeds = self.data[np.ix_(group.seeds, dims)]
+        block = max(self.BLOCK_ELEMENTS // (seeds.shape[0] * dims.size), 1)
+        for start in range(0, self.data.shape[0], block):
+            rows = self.data[start : start + block][:, dims]
+            diffs = rows[:, None, :] - seeds[None, :, :]
+            np.square(diffs, out=diffs)
+            distances = diffs.sum(axis=2).min(axis=1) / dims.size
+            np.minimum(
+                self.min_distance[start : start + block],
+                distances,
+                out=self.min_distance[start : start + block],
+            )

@@ -124,8 +124,16 @@ def check_index_sequence(
     allow_empty: bool = True,
     unique: bool = True,
 ) -> np.ndarray:
-    """Validate a sequence of indices into a dimension of size ``upper``."""
-    array = np.asarray(list(indices), dtype=int)
+    """Validate a sequence of indices into a dimension of size ``upper``.
+
+    Flat signed-integer arrays are copied as they are; anything else
+    goes through ``list()`` first.  The duplicate check is skipped for
+    strictly increasing input, which cannot repeat.
+    """
+    if isinstance(indices, np.ndarray) and indices.dtype.kind == "i" and indices.ndim == 1:
+        array = np.array(indices, dtype=int)
+    else:
+        array = np.asarray(list(indices), dtype=int)
     if array.ndim != 1:
         raise ValueError("%s must be a flat sequence of integers" % name)
     if not allow_empty and array.size == 0:
@@ -136,7 +144,11 @@ def check_index_sequence(
                 "%s must lie in [0, %d), got range [%d, %d]"
                 % (name, upper, array.min(), array.max())
             )
-        if unique and len(np.unique(array)) != len(array):
+        if (
+            unique
+            and not np.all(array[1:] > array[:-1])
+            and len(np.unique(array)) != len(array)
+        ):
             raise ValueError("%s contains duplicate entries" % name)
     return array
 

@@ -65,6 +65,26 @@ class TestFitInstrumentation:
         # per-iteration membership deltas land in a histogram
         assert len(rec.histograms["fit.changed_clusters"]) >= 1
 
+    def test_seed_group_init_sub_spans(self, dataset):
+        with obs.recording() as rec:
+            fit_model(dataset.data)
+        seed_groups = next(s for s in rec.spans if s["name"] == "fit.seed_groups")
+        by_id = {s["id"]: s for s in rec.spans}
+        phases = {
+            "fit.seed_groups.anchor",
+            "fit.seed_groups.density_profile",
+            "fit.seed_groups.grids",
+            "fit.seed_groups.select_dim",
+        }
+        assert phases <= span_names(rec)
+        for span in rec.spans:
+            if span["name"] in phases:
+                assert by_id[span["parent"]]["name"] == "fit.seed_groups"
+                assert span["cat"] == "fit"
+        grids = [s for s in rec.spans if s["name"] == "fit.seed_groups.grids"]
+        assert all(s["args"]["grids"] == 20 for s in grids)
+        assert seed_groups["parent"] == next(s["id"] for s in rec.spans if s["name"] == "fit")
+
     def test_fit_records_engine_metrics(self, dataset):
         with obs.recording() as rec:
             fit_model(dataset.data)

@@ -1,0 +1,302 @@
+"""Oracle tests for the fast seed-group initialisation.
+
+Each fast path is checked against a test-local copy of the code it
+replaced:
+
+* the running-min max-min anchor against the recompute of every earlier
+  group's distances for each new group;
+* ``Grid._cells`` against the per-cell Python loop that keyed each cell;
+* ``check_index_sequence`` against the ``list()``-then-``np.unique``
+  validator, for accepted and rejected inputs alike.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.grid import Grid
+from repro.core.seed_groups import SeedGroup, _MaxMinAnchor
+from repro.utils.validation import check_index_sequence
+
+
+# ---------------------------------------------------------------------- #
+# the replaced implementations
+# ---------------------------------------------------------------------- #
+def recompute_max_min(data, existing_groups, excluded_objects, rng):
+    """The max-min object, recomputing every earlier group's distances."""
+    n_objects = data.shape[0]
+    mask = np.ones(n_objects, dtype=bool)
+    if excluded_objects:
+        mask[list(excluded_objects)] = False
+    available = np.flatnonzero(mask)
+    if available.size == 0:
+        available = np.arange(n_objects)
+    groups_with_seeds = [
+        group for group in existing_groups if group.n_seeds > 0 and group.dimensions.size > 0
+    ]
+    if not groups_with_seeds:
+        return int(available[rng.integers(available.size)])
+    min_distance = np.full(available.size, np.inf)
+    for group in groups_with_seeds:
+        dims = group.dimensions
+        seeds = data[np.ix_(group.seeds, dims)]
+        candidates = data[np.ix_(available, dims)]
+        diffs = candidates[:, None, :] - seeds[None, :, :]
+        distances = (diffs**2).sum(axis=2).min(axis=1) / dims.size
+        min_distance = np.minimum(min_distance, distances)
+    return int(available[int(np.argmax(min_distance))])
+
+
+def per_cell_loop_cells(data, dimensions, bins, object_indices):
+    """``Grid._cells`` as the per-cell ``tuple(int(b) ...)`` loop built it."""
+    values = data[np.ix_(object_indices, dimensions)]
+    lows = values.min(axis=0)
+    highs = values.max(axis=0)
+    spans = np.where(highs > lows, highs - lows, 1.0)
+    scaled = (values - lows) / spans * bins
+    bin_indices = np.minimum(scaled.astype(int), bins - 1)
+    cells = {}
+    n_rows = bin_indices.shape[0]
+    order = np.lexsort(bin_indices.T)
+    sorted_bins = bin_indices[order]
+    sorted_objects = np.asarray(object_indices, dtype=int)[order]
+    changed = np.any(sorted_bins[1:] != sorted_bins[:-1], axis=1)
+    starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+    first_rows = order[starts]
+    ends = np.concatenate((starts[1:], [n_rows]))
+    for position in np.argsort(first_rows, kind="stable"):
+        start, end = int(starts[position]), int(ends[position])
+        cell = tuple(int(b) for b in bin_indices[first_rows[position]])
+        cells[cell] = sorted_objects[start:end]
+    return cells, lows, spans
+
+
+def list_check_index_sequence(indices, upper, *, name="indices", allow_empty=True, unique=True):
+    """``check_index_sequence`` before the ndarray fast path."""
+    array = np.asarray(list(indices), dtype=int)
+    if array.ndim != 1:
+        raise ValueError("%s must be a flat sequence of integers" % name)
+    if not allow_empty and array.size == 0:
+        raise ValueError("%s may not be empty" % name)
+    if array.size:
+        if array.min() < 0 or array.max() >= upper:
+            raise ValueError(
+                "%s must lie in [0, %d), got range [%d, %d]"
+                % (name, upper, array.min(), array.max())
+            )
+        if unique and len(np.unique(array)) != len(array):
+            raise ValueError("%s contains duplicate entries" % name)
+    return array
+
+
+def _outcome(function, *args, **kwargs):
+    try:
+        result = function(*args, **kwargs)
+    except Exception as error:  # compared by type and message
+        return ("raised", type(error), str(error))
+    return ("returned", result.dtype, result.tolist())
+
+
+# ---------------------------------------------------------------------- #
+# max-min anchor
+# ---------------------------------------------------------------------- #
+def _data(seed, n_objects, n_dimensions, coarse):
+    rng = np.random.default_rng(seed)
+    if coarse:
+        # Few distinct values: distance ties and constant columns.
+        return rng.integers(0, 3, size=(n_objects, n_dimensions)).astype(float)
+    return rng.normal(size=(n_objects, n_dimensions))
+
+
+@st.composite
+def anchor_cases(draw):
+    n_objects = draw(st.integers(1, 30))
+    n_dimensions = draw(st.integers(1, 6))
+    n_private = draw(st.integers(0, 3))
+    n_public = draw(st.integers(0, 6))
+    groups = []
+    for position in range(n_private + n_public):
+        # Seeds may repeat claimed objects or be empty; dimensions may be
+        # empty.  Both kinds of group carry no distance and are skipped.
+        seeds = draw(st.lists(st.integers(0, n_objects - 1), max_size=n_objects))
+        dims = draw(st.lists(st.integers(0, n_dimensions - 1), max_size=n_dimensions))
+        cluster = position if position < n_private else None
+        groups.append(SeedGroup(seeds=seeds, dimensions=dims, cluster=cluster))
+    return {
+        "data_seed": draw(st.integers(0, 2**16)),
+        "coarse": draw(st.booleans()),
+        "n_objects": n_objects,
+        "n_dimensions": n_dimensions,
+        "groups": groups,
+        "block": draw(st.sampled_from([1, 2, 7, 64, _MaxMinAnchor.BLOCK_ELEMENTS])),
+        "rng_seed": draw(st.integers(0, 2**16)),
+        # Whether to pick before each group: skipped picks leave several
+        # groups to fold at once.
+        "picks": draw(st.lists(st.booleans(), min_size=len(groups), max_size=len(groups))),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(anchor_cases())
+def test_running_min_anchor_matches_full_recompute(case):
+    data = _data(case["data_seed"], case["n_objects"], case["n_dimensions"], case["coarse"])
+    anchor = _MaxMinAnchor(data)
+    anchor.BLOCK_ELEMENTS = case["block"]
+    available = np.ones(data.shape[0], dtype=bool)
+    rng_fast = np.random.default_rng(case["rng_seed"])
+    rng_oracle = np.random.default_rng(case["rng_seed"])
+    existing, excluded = [], set()
+    # Picks between groups (private groups first), and one after the
+    # last, which finds every object excluded when the groups' seeds
+    # cover the data.
+    for group, pick in zip(case["groups"] + [None], case["picks"] + [True]):
+        if pick:
+            expected = recompute_max_min(data, existing, excluded, rng_oracle)
+            assert anchor.pick(np.flatnonzero(available), rng_fast) == expected
+        if group is None:
+            break
+        available[group.seeds] = False
+        anchor.add(group)
+        existing.append(group)
+        excluded.update(int(seed) for seed in group.seeds)
+
+
+def test_all_objects_excluded_falls_back_to_every_object():
+    data = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+    anchor = _MaxMinAnchor(data)
+    group = SeedGroup(seeds=[0, 1, 2], dimensions=[0])
+    anchor.add(group)
+    rng = np.random.default_rng(0)
+    picked = anchor.pick(np.empty(0, dtype=int), rng)
+    assert picked == recompute_max_min(data, [group], {0, 1, 2}, np.random.default_rng(0))
+
+
+def test_groups_without_seeds_or_dimensions_leave_a_random_anchor():
+    data = np.arange(12.0).reshape(6, 2)
+    anchor = _MaxMinAnchor(data)
+    anchor.add(SeedGroup(seeds=[], dimensions=[0, 1]))
+    anchor.add(SeedGroup(seeds=[1, 2], dimensions=[]))
+    assert anchor.groups == []
+    assert np.isinf(anchor.min_distance).all()
+    available = np.array([0, 3, 4, 5])
+    expected = int(available[np.random.default_rng(4).integers(available.size)])
+    assert anchor.pick(available, np.random.default_rng(4)) == expected
+
+
+# ---------------------------------------------------------------------- #
+# grid cells
+# ---------------------------------------------------------------------- #
+@st.composite
+def grid_cases(draw):
+    n_objects = draw(st.integers(1, 60))
+    n_dimensions = draw(st.integers(1, 6))
+    n_building = draw(st.integers(1, min(4, n_dimensions)))
+    dimensions = draw(st.permutations(range(n_dimensions)))[:n_building]
+    restrict = draw(st.booleans())
+    restrict_to = None
+    if restrict:
+        size = draw(st.integers(1, n_objects))
+        restrict_to = draw(st.permutations(range(n_objects)))[:size]
+        if draw(st.booleans()):
+            restrict_to = sorted(restrict_to)
+    return {
+        "data_seed": draw(st.integers(0, 2**16)),
+        "coarse": draw(st.booleans()),
+        "n_objects": n_objects,
+        "n_dimensions": n_dimensions,
+        "dimensions": dimensions,
+        "bins": draw(st.integers(2, 8)),
+        "restrict_to": restrict_to,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cases())
+def test_grid_cells_match_per_cell_loop(case):
+    data = _data(case["data_seed"], case["n_objects"], case["n_dimensions"], case["coarse"])
+    restrict_to = case["restrict_to"]
+    grid = Grid(
+        data,
+        case["dimensions"],
+        bins_per_dimension=case["bins"],
+        restrict_to=None if restrict_to is None else np.asarray(restrict_to),
+    )
+    object_indices = np.arange(data.shape[0]) if restrict_to is None else restrict_to
+    expected, lows, spans = per_cell_loop_cells(
+        data, case["dimensions"], case["bins"], object_indices
+    )
+    # Keys, their insertion order (absolute_peak's tie-break) and members.
+    assert list(grid._cells) == list(expected)
+    for key in grid._cells:
+        assert all(type(b) is int for b in key)
+        np.testing.assert_array_equal(grid._cells[key], expected[key])
+    np.testing.assert_array_equal(grid._lows, lows)
+    np.testing.assert_array_equal(grid._spans, spans)
+
+
+# ---------------------------------------------------------------------- #
+# index validation
+# ---------------------------------------------------------------------- #
+index_values = st.lists(st.integers(-3, 12), max_size=12)
+
+
+@st.composite
+def index_inputs(draw):
+    values = draw(index_values)
+    kind = draw(
+        st.sampled_from(["list", "int64", "int32", "uint8", "float", "bool", "2d", "0d", "sorted"])
+    )
+    if kind == "list":
+        return values
+    if kind == "sorted":
+        return np.asarray(sorted(set(values)), dtype=np.int64)
+    if kind == "uint8":
+        return np.asarray([v for v in values if v >= 0], dtype=np.uint8)
+    if kind == "float":
+        return np.asarray(values, dtype=float) + draw(st.sampled_from([0.0, 0.5]))
+    if kind == "bool":
+        return np.asarray(values, dtype=np.int64) > 4
+    if kind == "2d":
+        return np.asarray(values[: len(values) // 2 * 2], dtype=np.int64).reshape(-1, 2)
+    if kind == "0d":
+        return np.asarray(values[0] if values else 0, dtype=np.int64)
+    return np.asarray(values, dtype=kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    indices=index_inputs(),
+    upper=st.integers(1, 12),
+    allow_empty=st.booleans(),
+    unique=st.booleans(),
+)
+def test_check_index_sequence_matches_list_validator(indices, upper, allow_empty, unique):
+    kwargs = {"name": "idx", "allow_empty": allow_empty, "unique": unique}
+    expected = _outcome(list_check_index_sequence, indices, upper, **kwargs)
+    assert _outcome(check_index_sequence, indices, upper, **kwargs) == expected
+
+
+@pytest.mark.parametrize(
+    "indices, allow_empty, message",
+    [
+        (np.array([3, 1, 3]), True, "duplicate"),
+        (np.array([0, 5]), True, "must lie in"),
+        (np.array([-1, 2]), True, "must lie in"),
+        (np.array([[0, 1], [2, 3]]), True, "flat sequence"),
+        (np.array([], dtype=np.int64), False, "may not be empty"),
+    ],
+)
+def test_check_index_sequence_rejects(indices, allow_empty, message):
+    with pytest.raises(ValueError, match=message):
+        check_index_sequence(indices, 5, allow_empty=allow_empty)
+
+
+def test_check_index_sequence_copies_integer_arrays():
+    source = np.array([0, 2, 4])
+    result = check_index_sequence(source, 5)
+    assert result.dtype == np.int64
+    result[0] = 3
+    assert source[0] == 0
