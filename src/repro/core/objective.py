@@ -185,10 +185,7 @@ class ObjectiveFunction:
     results are bit-identical with and without the cache.
     """
 
-    def __init__(
-        self, data, threshold: SelectionThreshold, *,
-        stats_cache=None, assignment_backend=None,
-    ) -> None:
+    def __init__(self, data, threshold: SelectionThreshold, *, stats_cache=None) -> None:
         self.data = check_array_2d(data, name="data", min_rows=2)
         if not threshold.is_fitted:
             threshold.fit(self.data)
@@ -214,7 +211,6 @@ class ObjectiveFunction:
         # a persistent grouped plan plus a cached (n, k) gain matrix
         # whose columns are recomputed only for clusters that changed.
         self._assignment_engine = None
-        self._assignment_backend = assignment_backend
         self._assignment_dirty_hints: set = set()
 
     # ------------------------------------------------------------------ #
@@ -435,9 +431,7 @@ class ObjectiveFunction:
         ]
         engine = self._assignment_engine
         if engine is None:
-            engine = self._assignment_engine = AssignmentEngine(
-                self.data, backend=self._assignment_backend
-            )
+            engine = self._assignment_engine = AssignmentEngine(self.data)
         hints = self._assignment_dirty_hints
         self._assignment_dirty_hints = set()
         if engine.n_clusters != k:

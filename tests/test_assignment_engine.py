@@ -58,6 +58,18 @@ class TestBlockedEvaluation:
         reference = grouped_assignment_gains(batch, dims, centers, thresholds)
         assert np.array_equal(engine.compute(batch), reference)
 
+    def test_one_engine_serves_batches_of_varying_size(self, points):
+        """Per-batch mode: workspaces sized by one batch never leak into
+        the next, larger or smaller."""
+        rng = np.random.default_rng(6)
+        dims, centers, thresholds = _random_specs(rng, 5, points.shape[1])
+        engine = AssignmentEngine(block_rows=64)
+        engine.set_clusters(dims, centers, thresholds)
+        for n in (119, 1, 300, 7, 64):
+            batch = points[rng.choice(points.shape[0], size=n, replace=False)]
+            reference = grouped_assignment_gains(batch, dims, centers, thresholds)
+            assert np.array_equal(engine.compute(batch), reference), n
+
     def test_all_empty_dimension_sets_pin_minus_inf(self, points):
         empty = np.empty(0, dtype=int)
         engine = AssignmentEngine(points)
@@ -72,12 +84,12 @@ class TestBlockedEvaluation:
         engine = AssignmentEngine(points, block_rows=128)
         engine.set_clusters(dims, centers, thresholds)
         engine.gains()
-        workspace = engine.backend._workspace
+        workspace = engine._workspace
         for _ in range(5):
             engine.invalidate()
             engine.gains()
             engine.compute(points[:100])
-        assert engine.backend._workspace is workspace
+        assert engine._workspace is workspace
 
 
 class TestDirtyTracking:
@@ -119,6 +131,41 @@ class TestDirtyTracking:
                 engine.remove_cluster(index)
             elif action == "invalidate":
                 engine.invalidate()
+            reference = grouped_assignment_gains(points, dims, centers, thresholds)
+            assert np.array_equal(engine.gains(), reference), "step %d (%s)" % (step, action)
+
+    def test_mark_dirty_and_forced_updates_stay_identical(self, points):
+        """Explicit dirty reports (mark_dirty, force=True rewrites that may
+        change the dimension count) interleaved with adds and removes."""
+        rng = np.random.default_rng(10)
+        d = points.shape[1]
+        dims, centers, thresholds = _random_specs(rng, 6, d)
+        engine = AssignmentEngine(points, block_rows=113)
+        engine.set_clusters(dims, centers, thresholds)
+        for step in range(30):
+            action = rng.choice(["dirty", "force", "add", "remove"])
+            k = engine.n_clusters
+            if action == "dirty":
+                engine.mark_dirty(rng.choice(k, size=min(2, k), replace=False))
+            elif action == "force":
+                index = int(rng.integers(k))
+                count = int(rng.integers(1, 20))
+                dims[index] = np.sort(rng.choice(d, size=count, replace=False)).astype(int)
+                centers[index] = rng.normal(size=count)
+                thresholds[index] = rng.uniform(0.1, 2.0, size=count)
+                engine.update_cluster(
+                    index, dims[index], centers[index], thresholds[index], force=True
+                )
+            elif action == "add" and k < 10:
+                count = int(rng.integers(1, 20))
+                dims.append(np.sort(rng.choice(d, size=count, replace=False)).astype(int))
+                centers.append(rng.normal(size=count))
+                thresholds.append(rng.uniform(0.1, 2.0, size=count))
+                engine.add_cluster(dims[-1], centers[-1], thresholds[-1])
+            elif action == "remove" and k > 2:
+                index = int(rng.integers(k))
+                del dims[index], centers[index], thresholds[index]
+                engine.remove_cluster(index)
             reference = grouped_assignment_gains(points, dims, centers, thresholds)
             assert np.array_equal(engine.gains(), reference), "step %d (%s)" % (step, action)
 

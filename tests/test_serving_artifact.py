@@ -18,6 +18,7 @@ from repro.serving.artifact import (
     load_artifact,
     threshold_from_description,
 )
+from repro.serving.index import ProjectedClusterIndex
 
 
 @pytest.fixture()
@@ -156,6 +157,42 @@ class TestPersistence:
         stamp_json_file(manifest_path)  # re-stamp: the edit is deliberate
         with pytest.raises(ValueError, match="incomplete"):
             load_artifact(path)
+
+
+class TestLegacyBackendParameter:
+    """Artifacts saved by 1.6.0 from ``SSPC(backend="threaded")`` carry
+    ``parameters["backend"]``.  The key names a kernel that no longer
+    exists; it must stay inert metadata that neither blocks loading nor
+    changes what the index serves."""
+
+    @pytest.fixture()
+    def paths(self, artifact, tmp_path):
+        """``(legacy, plain)`` artifact directories differing only in the key."""
+        plain_path = artifact.save(tmp_path / "plain")
+        legacy = load_artifact(plain_path)
+        legacy.parameters["backend"] = "threaded"
+        return legacy.save(tmp_path / "legacy"), plain_path
+
+    def test_legacy_artifact_loads_with_the_key_kept(self, paths):
+        legacy_path, _ = paths
+        loaded = load_artifact(legacy_path)
+        assert loaded.parameters["backend"] == "threaded"
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_index_labels_match_artifact_without_the_key(
+        self, paths, small_dataset, rng, mmap_mode
+    ):
+        legacy_path, plain_path = paths
+        data = small_dataset.data
+        queries = np.vstack([
+            data,
+            rng.normal(loc=data.mean(axis=0), scale=3 * data.std(axis=0),
+                       size=(50, data.shape[1])),
+        ])
+        legacy = ProjectedClusterIndex.from_path(legacy_path, mmap_mode=mmap_mode)
+        plain = ProjectedClusterIndex.from_path(plain_path, mmap_mode=mmap_mode)
+        np.testing.assert_array_equal(legacy.predict(queries), plain.predict(queries))
+        assert np.array_equal(legacy.gains_matrix(queries), plain.gains_matrix(queries))
 
 
 class TestThresholdReconstruction:

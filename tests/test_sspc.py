@@ -161,6 +161,8 @@ class TestParameters:
         assert params["p"] == 0.05
         assert params["max_iterations"] == 10
         assert "m" not in params
+        assert "backend" not in params
+        assert SSPC(**params).get_params() == params
 
     def test_max_iterations_bounds_work(self, tiny_dataset):
         model = SSPC(n_clusters=3, m=0.5, max_iterations=2, patience=1, random_state=0)
