@@ -48,6 +48,22 @@ class TestBlockedEvaluation:
         assert np.array_equal(engine.gains(), reference)
         assert np.array_equal(engine.compute(points), reference)
 
+    def test_full_compute_with_mixed_dimension_counts(self):
+        """Default blocking, dimension counts from one up to every
+        dimension: the full matrix equals the reference bit for bit."""
+        rng = np.random.default_rng(7)
+        d = 24
+        points = rng.normal(size=(400, d))
+        dims, centers, thresholds = [], [], []
+        for count in (1, 2, 7, 8, 9, 16, 23, d, int(rng.integers(1, d + 1))):
+            dims.append(np.sort(rng.choice(d, size=count, replace=False)))
+            centers.append(rng.normal(size=count))
+            thresholds.append(rng.uniform(0.5, 3.0, size=count))
+        engine = AssignmentEngine(points)
+        engine.set_clusters(dims, centers, thresholds)
+        reference = grouped_assignment_gains(points, dims, centers, thresholds)
+        assert np.array_equal(engine.gains(), reference)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_tiny_batches(self, points, n):
         rng = np.random.default_rng(4)

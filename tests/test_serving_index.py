@@ -118,6 +118,32 @@ class TestPartialUpdate:
                 stats.median_selected, np.median(block[:, stats.dimensions], axis=0)
             )
 
+    def test_replicas_stay_bit_identical_through_lifecycle(self, artifact, query_points, rng):
+        """Independent indexes over one artifact (one per serving worker)
+        give identical answers through the same fold / add / remove steps."""
+        first = ProjectedClusterIndex(artifact)
+        second = ProjectedClusterIndex(artifact)
+        np.testing.assert_array_equal(first.predict(query_points), second.predict(query_points))
+        fold = rng.normal(
+            loc=artifact.clusters[0].mean, scale=0.05, size=(12, query_points.shape[1])
+        )
+        spawn_dims = np.arange(3)
+        spawn_rows = rng.normal(loc=5.0, scale=0.1, size=(8, query_points.shape[1]))
+        steps = (
+            lambda index: index.partial_update(fold),
+            lambda index: index.add_cluster(spawn_dims, spawn_rows),
+            lambda index: index.remove_cluster(0),
+        )
+        for step in steps:
+            step(first)
+            step(second)
+            assert np.array_equal(
+                first.gains_matrix(query_points), second.gains_matrix(query_points)
+            )
+            np.testing.assert_array_equal(
+                first.predict(query_points), second.predict(query_points)
+            )
+
     def test_outliers_are_not_absorbed(self, small_dataset, index, rng):
         sizes_before = index.cluster_sizes()
         far = small_dataset.data.max() + 1e3 + rng.uniform(

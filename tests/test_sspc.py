@@ -164,6 +164,25 @@ class TestParameters:
         assert "backend" not in params
         assert SSPC(**params).get_params() == params
 
+    def test_removed_backend_keyword_is_rejected(self):
+        """2.0.0 dropped the kernel-selection keyword: passing it fails
+        loudly instead of being silently ignored."""
+        with pytest.raises(TypeError, match="backend"):
+            SSPC(n_clusters=2, backend="threaded")
+        assert "backend" not in SSPC(n_clusters=2).get_params()
+
+    def test_fit_is_memory_layout_invariant(self, small_dataset):
+        """C-ordered, Fortran-ordered and strided views of the same data
+        give the same fit, bit for bit."""
+        data = small_dataset.data
+        padded = np.zeros((data.shape[0], 2 * data.shape[1]))
+        padded[:, ::2] = data
+        base = SSPC(n_clusters=3, m=0.5, random_state=0).fit(np.ascontiguousarray(data))
+        for variant in (np.asfortranarray(data), padded[:, ::2]):
+            other = SSPC(n_clusters=3, m=0.5, random_state=0).fit(variant)
+            np.testing.assert_array_equal(base.labels_, other.labels_)
+            assert base.objective_ == other.objective_
+
     def test_max_iterations_bounds_work(self, tiny_dataset):
         model = SSPC(n_clusters=3, m=0.5, max_iterations=2, patience=1, random_state=0)
         model.fit(tiny_dataset.data)
