@@ -16,6 +16,7 @@ format:
 
 test:
 	$(PY) -m pytest -x -q
+	$(PY) -m pytest perfbench/tests -q
 
 bench-smoke:
 	$(PY) -m repro.bench run --suite smoke

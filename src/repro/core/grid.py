@@ -21,13 +21,16 @@ Two peak-finding modes are needed:
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_array_2d, check_index_sequence, check_positive_int
+
+#: Number of distinct values an int64 cell code can take.
+_CODE_LIMIT = 2**63
 
 
 @dataclass
@@ -53,8 +56,29 @@ class GridSearchResult:
     dimensions: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _moore_offsets(n_dimensions: int) -> np.ndarray:
+    """The ``3 ** c - 1`` Moore-neighbourhood offsets, in ``itertools.product`` order.
+
+    Row-major :func:`numpy.indices` over ``(3,) * c`` enumerates the
+    offsets in the order ``itertools.product((-1, 0, 1), repeat=c)``
+    does; the all-zero offset (the cell itself) is dropped.
+    """
+    offsets = np.indices((3,) * n_dimensions).reshape(n_dimensions, -1).T - 1
+    offsets = offsets[np.any(offsets != 0, axis=1)]
+    offsets.flags.writeable = False  # shared by every grid with c dimensions
+    return offsets
+
+
 class Grid:
     """Equal-width multi-dimensional histogram over selected dimensions.
+
+    Every object's cell is stored as one int64 *cell code*: its bin
+    indices read as the digits of a mixed-radix number (first building
+    dimension most significant), so codes sort like the bin tuples.  The
+    grid keeps the sorted distinct codes and their counts; a density
+    query is a ``searchsorted`` into them, and members are gathered only
+    for the cell a search settles on.
 
     Parameters
     ----------
@@ -113,30 +137,28 @@ class Grid:
 
         self._lows = lows
         self._spans = spans
-        # Group objects by cell in one vectorised pass: stable lexsort of
-        # the bin tuples brings equal cells together (lexsort handles any
-        # number of building dimensions — no dense cell-id encoding that
-        # could overflow for large bins ** c), then split at the boundaries.
-        # Cells are inserted in first-occurrence (row) order and members
-        # keep their row order, so the mapping — including the
-        # iteration-order tie-breaking of :meth:`absolute_peak` — is
-        # identical to a per-row dictionary build.  The cell keys come
-        # from one ``tolist()`` of the cells' first rows.
-        self._cells: Dict[Tuple[int, ...], np.ndarray] = {}
-        n_rows = bin_indices.shape[1]
-        if n_rows == 0:
-            return
-        order = np.lexsort(bin_indices)
-        sorted_bins = bin_indices[:, order]
-        sorted_objects = self.object_indices[order]
-        changed = np.any(sorted_bins[:, 1:] != sorted_bins[:, :-1], axis=0)
-        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-        first_rows = order[starts]
-        ends = np.concatenate((starts[1:], [n_rows]))
-        perm = np.argsort(first_rows, kind="stable")
-        keys = bin_indices[:, first_rows[perm]].T.tolist()
-        for key, start, end in zip(keys, starts[perm].tolist(), ends[perm].tolist()):
-            self._cells[tuple(key)] = sorted_objects[start:end]
+        self._bins = bin_indices
+        # Fold the bin rows into one code per object.  bins ** c may exceed
+        # the int64 range, so before a digit that could overflow, the
+        # partial codes are replaced by their ranks among their distinct
+        # values (at most n of them).  Ranks keep the order, and the rank
+        # table is kept so that a cell tuple's prefix is ranked the same
+        # way on lookup.
+        bins = self.bins_per_dimension
+        self._rank_tables: Dict[int, np.ndarray] = {}
+        codes = bin_indices[0]
+        n_codes = bins
+        for position in range(1, bin_indices.shape[0]):
+            if n_codes * bins > _CODE_LIMIT:
+                table, codes = np.unique(codes, return_inverse=True)
+                self._rank_tables[position] = table
+                n_codes = table.size
+            codes = codes * bins + bin_indices[position]
+            n_codes *= bins
+        self._codes = codes
+        # No return_index here: it makes np.unique use a stable argsort,
+        # about ten times slower than the default sort.
+        self._cell_codes, self._counts = np.unique(codes, return_counts=True)
 
     # ------------------------------------------------------------------ #
     # cell queries
@@ -144,45 +166,114 @@ class Grid:
     @property
     def n_cells(self) -> int:
         """Number of non-empty cells."""
-        return len(self._cells)
+        return int(self._cell_codes.size)
+
+    def cells(self) -> Dict[Tuple[int, ...], np.ndarray]:
+        """Every non-empty cell and its object indices, built on demand.
+
+        Keys are bin-index tuples in first-occurrence (row) order, the
+        order :meth:`absolute_peak` breaks ties in; each cell's members
+        keep their row order.  The mapping is a fresh copy on every call.
+        """
+        order = np.argsort(self._codes, kind="stable")
+        sorted_objects = self.object_indices[order]
+        ends = np.cumsum(self._counts)
+        starts = ends - self._counts
+        first_rows = order[starts]
+        by_row = np.argsort(first_rows)
+        keys = self._bins[:, first_rows[by_row]].T.tolist()
+        return {
+            tuple(key): sorted_objects[starts[slot] : ends[slot]]
+            for key, slot in zip(keys, by_row.tolist())
+        }
 
     def cell_members(self, cell: Tuple[int, ...]) -> np.ndarray:
         """Object indices in one cell (empty array for empty cells)."""
-        members = self._cells.get(tuple(cell))
-        if members is None:
+        row = self._cell_row(cell)
+        if row is None:
             return np.empty(0, dtype=int)
-        return members
+        codes, densities = self._lookup(row)
+        return self._members(codes[0], densities[0])
 
     def cell_density(self, cell: Tuple[int, ...]) -> int:
         """Number of objects in one cell."""
-        members = self._cells.get(tuple(cell))
-        return 0 if members is None else int(members.size)
+        row = self._cell_row(cell)
+        return 0 if row is None else int(self._lookup(row)[1][0])
 
     def cell_of(self, point: Sequence[float]) -> Tuple[int, ...]:
-        """The cell containing an arbitrary point (full ``d``-vector)."""
+        """The cell containing an arbitrary point (full ``d``-vector).
+
+        Points outside the data range fall in the nearest edge cell; a
+        point that is not finite in a building dimension has no cell.
+        """
         point = np.asarray(point, dtype=float).ravel()
         if point.shape[0] != self.data.shape[1]:
             raise ValueError("point must be a full d-dimensional vector")
         coords = point[self.dimensions]
+        if not np.isfinite(coords).all():
+            raise ValueError("point must be finite in the grid's building dimensions")
         scaled = (coords - self._lows) / self._spans * self.bins_per_dimension
-        clipped = np.clip(scaled.astype(int), 0, self.bins_per_dimension - 1)
-        return tuple(int(b) for b in clipped)
+        # Clip before the cast: a far-out coordinate would overflow int.
+        clipped = np.clip(scaled, 0, self.bins_per_dimension - 1).astype(int)
+        return tuple(clipped.tolist())
+
+    def _cell_row(self, cell) -> Optional[np.ndarray]:
+        """``cell`` as a ``(1, c)`` int64 array, or ``None`` if no cell has that key."""
+        row = np.asarray(cell)
+        if row.shape != self.dimensions.shape or not np.issubdtype(row.dtype, np.number):
+            return None
+        as_int = row.astype(np.int64)
+        if not np.array_equal(as_int, row):
+            return None
+        if as_int.min() < 0 or as_int.max() >= self.bins_per_dimension:
+            return None
+        return as_int[None, :]
+
+    def _lookup(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Codes and densities of the in-range cells in an ``(m, c)`` array.
+
+        An empty cell has density 0; its code is then meaningless.
+        """
+        bins = self.bins_per_dimension
+        codes = cells[:, 0]
+        ranked = []  # whether each prefix occurs in a rank table
+        for position in range(1, cells.shape[1]):
+            table = self._rank_tables.get(position)
+            if table is not None:
+                ranks = np.minimum(table.searchsorted(codes), table.size - 1)
+                ranked.append(table[ranks] == codes)
+                codes = ranks
+            codes = codes * bins + cells[:, position]
+        slots = np.minimum(self._cell_codes.searchsorted(codes), self._cell_codes.size - 1)
+        found = self._cell_codes[slots] == codes
+        for prefix_found in ranked:
+            found &= prefix_found
+        return codes, np.where(found, self._counts[slots], 0)
+
+    def _members(self, code: int, density: int) -> np.ndarray:
+        """Object indices (in row order) of the cell with ``code``."""
+        if density == 0:
+            return np.empty(0, dtype=int)
+        return self.object_indices[self._codes == code]
 
     # ------------------------------------------------------------------ #
     # peak searches
     # ------------------------------------------------------------------ #
     def absolute_peak(self) -> GridSearchResult:
-        """The densest cell of the whole grid."""
-        if not self._cells:
-            return GridSearchResult(
-                cell=(), members=np.empty(0, dtype=int), density=0, dimensions=self.dimensions
-            )
-        best_cell = max(self._cells, key=lambda cell: len(self._cells[cell]))
-        members = self.cell_members(best_cell)
+        """The densest cell of the whole grid.
+
+        Among equally dense cells the one whose first object comes
+        earliest wins.
+        """
+        winners = self._cell_codes[self._counts == self._counts.max()]
+        code = winners[0]
+        if winners.size > 1:
+            code = self._codes[np.argmax(np.isin(self._codes, winners))]
+        rows = np.flatnonzero(self._codes == code)
         return GridSearchResult(
-            cell=best_cell,
-            members=members,
-            density=int(members.size),
+            cell=tuple(self._bins[:, rows[0]].tolist()),
+            members=self.object_indices[rows],
+            density=int(rows.size),
             dimensions=self.dimensions,
         )
 
@@ -193,35 +284,31 @@ class Grid:
         diagonal neighbours) until no neighbour is denser — this locates
         the local density peak nearest the anchor, which the paper uses
         both to deal with multi-peak grids and to correct anchors biased
-        towards one side of the cluster.
+        towards one side of the cluster.  Each step looks up every
+        in-range neighbour at once and moves to the first densest one
+        (in ``itertools.product`` order of the offsets) if it is strictly
+        denser than the current cell.
         """
-        current = self.cell_of(start_point)
-        current_density = self.cell_density(current)
-        improved = True
-        while improved:
-            improved = False
-            for neighbour in self._neighbours(current):
-                density = self.cell_density(neighbour)
-                if density > current_density:
-                    current, current_density = neighbour, density
-                    improved = True
-        members = self.cell_members(current)
+        current = np.asarray(self.cell_of(start_point), dtype=np.int64)
+        codes, densities = self._lookup(current[None, :])
+        code, density = codes[0], densities[0]
+        offsets = _moore_offsets(current.size)
+        while True:
+            neighbours = current + offsets
+            inside = ((neighbours >= 0) & (neighbours < self.bins_per_dimension)).all(axis=1)
+            neighbours = neighbours[inside]
+            codes, densities = self._lookup(neighbours)
+            best = int(densities.argmax())
+            if densities[best] <= density:
+                break
+            current, code, density = neighbours[best], codes[best], densities[best]
+        members = self._members(code, density)
         return GridSearchResult(
-            cell=current,
+            cell=tuple(current.tolist()),
             members=members,
             density=int(members.size),
             dimensions=self.dimensions,
         )
-
-    def _neighbours(self, cell: Tuple[int, ...]):
-        """All neighbouring cells of ``cell`` (Moore neighbourhood)."""
-        offsets = itertools.product((-1, 0, 1), repeat=len(cell))
-        for offset in offsets:
-            if all(delta == 0 for delta in offset):
-                continue
-            neighbour = tuple(coordinate + delta for coordinate, delta in zip(cell, offset))
-            if all(0 <= coordinate < self.bins_per_dimension for coordinate in neighbour):
-                yield neighbour
 
 
 def one_dimensional_density(

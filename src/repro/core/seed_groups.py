@@ -317,7 +317,8 @@ class SeedGroupBuilder:
             # along which the labeled objects are tightest (best phi scores).
             needed = self.grid_dimensions - candidates.size
             order = np.argsort(-phi_scores)
-            extra = [int(j) for j in order if int(j) not in set(candidates.tolist())][:needed]
+            taken = set(candidates.tolist())
+            extra = [int(j) for j in order if int(j) not in taken][:needed]
             candidates = np.union1d(candidates, np.asarray(extra, dtype=int)).astype(int)
         if candidates.size == 0:
             # No information at all — fall back to all dimensions, uniform.

@@ -1,9 +1,19 @@
 """Tests for the grid (multi-dimensional histogram) engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.grid import Grid, one_dimensional_density
+
+
+def moore_neighbours(cell, bins):
+    """Every in-range cell differing from ``cell`` by at most 1 per coordinate."""
+    for offset in itertools.product((-1, 0, 1), repeat=len(cell)):
+        neighbour = tuple(c + delta for c, delta in zip(cell, offset))
+        if any(offset) and all(0 <= c < bins for c in neighbour):
+            yield neighbour
 
 
 @pytest.fixture()
@@ -20,13 +30,13 @@ def clustered_data():
 class TestGridConstruction:
     def test_all_objects_fall_in_some_cell(self, clustered_data):
         grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=4)
-        total = sum(grid.cell_density(cell) for cell in grid._cells)
+        total = sum(grid.cell_density(cell) for cell in grid.cells())
         assert total == clustered_data.shape[0]
 
     def test_restrict_to_limits_objects(self, clustered_data):
         subset = np.arange(50, 200)
         grid = Grid(clustered_data, [0, 1], bins_per_dimension=4, restrict_to=subset)
-        total = sum(grid.cell_density(cell) for cell in grid._cells)
+        total = sum(grid.cell_density(cell) for cell in grid.cells())
         assert total == subset.size
 
     def test_cell_of_point_consistent_with_membership(self, clustered_data):
@@ -34,6 +44,45 @@ class TestGridConstruction:
         for index in (0, 10, 199):
             cell = grid.cell_of(clustered_data[index])
             assert index in grid.cell_members(cell)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_cell_of_rejects_non_finite_building_coordinate(self, clustered_data, bad):
+        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=5)
+        point = clustered_data[0].copy()
+        point[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            grid.cell_of(point)
+        with pytest.raises(ValueError, match="finite"):
+            grid.hill_climb(point)
+
+    def test_cell_of_ignores_non_building_coordinates(self, clustered_data):
+        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=5)
+        point = clustered_data[0].copy()
+        point[7] = np.nan
+        assert grid.cell_of(point) == grid.cell_of(clustered_data[0])
+
+    def test_far_out_point_lands_in_edge_cell(self, clustered_data):
+        grid = Grid(clustered_data, [0, 1], bins_per_dimension=5)
+        point = clustered_data[0].copy()
+        point[0], point[1] = 1e300, -1e300
+        assert grid.cell_of(point) == (4, 0)
+
+    def test_cells_is_a_fresh_mapping(self, clustered_data):
+        grid = Grid(clustered_data, [0, 1], bins_per_dimension=4)
+        cells = grid.cells()
+        assert len(cells) == grid.n_cells
+        cell = next(iter(cells))
+        cells[cell][:] = -1
+        cells.clear()
+        assert len(grid.cells()) == grid.n_cells
+        assert (grid.cells()[cell] >= 0).all()
+        assert (grid.cell_members(cell) >= 0).all()
+
+    def test_lookups_of_keys_outside_the_grid_are_empty(self, clustered_data):
+        grid = Grid(clustered_data, [0, 1], bins_per_dimension=4)
+        for cell in [(4, 0), (-1, 0), (0,), (0, 0, 0), (0.5, 1), ("a", "b")]:
+            assert grid.cell_density(cell) == 0
+            assert grid.cell_members(cell).size == 0
 
     def test_invalid_dimension_rejected(self, clustered_data):
         with pytest.raises(ValueError):
@@ -72,7 +121,7 @@ class TestPeakSearches:
     def test_hill_climb_reaches_local_maximum(self, clustered_data):
         grid = Grid(clustered_data, [0, 1], bins_per_dimension=5)
         result = grid.hill_climb(clustered_data[100])
-        for neighbour in grid._neighbours(result.cell):
+        for neighbour in moore_neighbours(result.cell, 5):
             assert grid.cell_density(neighbour) <= result.density
 
     def test_hill_climb_from_biased_anchor_recovers_peak(self, clustered_data):

@@ -280,19 +280,19 @@ def test_grid_build_matches_per_row_reference(dataset):
             key = tuple(int(b) for b in bins[row])
             reference.setdefault(key, []).append(int(obj))
 
-        assert list(grid._cells.keys()) == list(reference.keys())  # insertion order
+        assert list(grid.cells().keys()) == list(reference.keys())  # insertion order
         for cell, members in reference.items():
             assert grid.cell_members(cell).tolist() == members
 
 
 def test_grid_build_supports_many_building_dimensions(dataset):
-    """No dense cell-id encoding: bins ** c may exceed the int64 range."""
+    """bins ** c may exceed the int64 range: cell codes are re-ranked."""
     from repro.core.grid import Grid
 
     dims = np.arange(min(30, dataset.data.shape[1]))  # 8 ** 30 >> 2 ** 63
     grid = Grid(dataset.data, dims, bins_per_dimension=8)
     assert grid.n_cells >= 1
-    total = sum(grid.cell_density(cell) for cell in grid._cells)
+    total = sum(grid.cell_density(cell) for cell in grid.cells())
     assert total == dataset.data.shape[0]
 
 

@@ -5,12 +5,17 @@ replaced:
 
 * the running-min max-min anchor against the recompute of every earlier
   group's distances for each new group;
-* ``Grid._cells`` against the per-cell Python loop that keyed each cell;
+* ``Grid.cells()`` against the per-cell Python loop that keyed each cell;
+* ``Grid.hill_climb`` against the greedy walk over a Moore-neighbour
+  generator, and ``Grid.absolute_peak`` against ``max`` over the
+  insertion-ordered cell dictionary;
 * ``check_index_sequence`` against the ``list()``-then-``np.unique``
   validator, for accepted and rejected inputs alike.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -51,7 +56,7 @@ def recompute_max_min(data, existing_groups, excluded_objects, rng):
 
 
 def per_cell_loop_cells(data, dimensions, bins, object_indices):
-    """``Grid._cells`` as the per-cell ``tuple(int(b) ...)`` loop built it."""
+    """``Grid.cells()`` as the per-cell ``tuple(int(b) ...)`` loop built it."""
     values = data[np.ix_(object_indices, dimensions)]
     lows = values.min(axis=0)
     highs = values.max(axis=0)
@@ -72,6 +77,47 @@ def per_cell_loop_cells(data, dimensions, bins, object_indices):
         cell = tuple(int(b) for b in bin_indices[first_rows[position]])
         cells[cell] = sorted_objects[start:end]
     return cells, lows, spans
+
+
+def generator_neighbours(cell, bins):
+    """All neighbouring cells of ``cell`` (Moore neighbourhood)."""
+    offsets = itertools.product((-1, 0, 1), repeat=len(cell))
+    for offset in offsets:
+        if all(delta == 0 for delta in offset):
+            continue
+        neighbour = tuple(coordinate + delta for coordinate, delta in zip(cell, offset))
+        if all(0 <= coordinate < bins for coordinate in neighbour):
+            yield neighbour
+
+
+def generator_hill_climb(cells, lows, spans, dimensions, bins, point):
+    """``Grid.hill_climb`` as the greedy walk over the generator did it.
+
+    Returns the final cell, its density and its members.
+    """
+    scaled = (np.asarray(point)[dimensions] - lows) / spans * bins
+    current = tuple(int(b) for b in np.clip(scaled.astype(int), 0, bins - 1))
+
+    def density(cell):
+        members = cells.get(cell)
+        return 0 if members is None else int(members.size)
+
+    current_density = density(current)
+    improved = True
+    while improved:
+        improved = False
+        for neighbour in generator_neighbours(current, bins):
+            neighbour_density = density(neighbour)
+            if neighbour_density > current_density:
+                current, current_density = neighbour, neighbour_density
+                improved = True
+    return current, current_density, cells.get(current, np.empty(0, dtype=int))
+
+
+def dict_absolute_peak(cells):
+    """``Grid.absolute_peak`` as ``max`` over the insertion-ordered dict."""
+    best = max(cells, key=lambda cell: len(cells[cell]))
+    return best, int(cells[best].size), cells[best]
 
 
 def list_check_index_sequence(indices, upper, *, name="indices", allow_empty=True, unique=True):
@@ -213,9 +259,7 @@ def grid_cases(draw):
     }
 
 
-@settings(max_examples=200, deadline=None)
-@given(grid_cases())
-def test_grid_cells_match_per_cell_loop(case):
+def _grid_and_oracle_cells(case):
     data = _data(case["data_seed"], case["n_objects"], case["n_dimensions"], case["coarse"])
     restrict_to = case["restrict_to"]
     grid = Grid(
@@ -225,16 +269,111 @@ def test_grid_cells_match_per_cell_loop(case):
         restrict_to=None if restrict_to is None else np.asarray(restrict_to),
     )
     object_indices = np.arange(data.shape[0]) if restrict_to is None else restrict_to
-    expected, lows, spans = per_cell_loop_cells(
-        data, case["dimensions"], case["bins"], object_indices
-    )
+    cells, lows, spans = per_cell_loop_cells(data, case["dimensions"], case["bins"], object_indices)
+    return data, object_indices, grid, cells, lows, spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cases())
+def test_grid_cells_match_per_cell_loop(case):
+    _, _, grid, expected, lows, spans = _grid_and_oracle_cells(case)
     # Keys, their insertion order (absolute_peak's tie-break) and members.
-    assert list(grid._cells) == list(expected)
-    for key in grid._cells:
+    cells = grid.cells()
+    assert list(cells) == list(expected)
+    for key in cells:
         assert all(type(b) is int for b in key)
-        np.testing.assert_array_equal(grid._cells[key], expected[key])
+        np.testing.assert_array_equal(cells[key], expected[key])
     np.testing.assert_array_equal(grid._lows, lows)
     np.testing.assert_array_equal(grid._spans, spans)
+
+
+def _anchor(data, object_indices, kind, seed):
+    """A full-width anchor inside or outside the range of the gridded objects."""
+    rng = np.random.default_rng(seed)
+    block = data[np.asarray(object_indices, dtype=int)]
+    lows, highs = block.min(axis=0), block.max(axis=0)
+    if kind == "object":
+        return block[rng.integers(block.shape[0])].copy()
+    if kind == "inside":
+        return rng.uniform(lows, highs)
+    # Beyond the range on a random side of every dimension.
+    beyond = (highs - lows + 1.0) * rng.uniform(0.01, 3.0, size=lows.size)
+    return np.where(rng.random(lows.size) < 0.5, lows - beyond, highs + beyond)
+
+
+def _assert_same_search(result, expected):
+    cell, density, members = expected
+    assert result.cell == cell
+    assert all(type(b) is int for b in result.cell)
+    assert result.density == density
+    np.testing.assert_array_equal(result.members, members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid_cases(),
+    st.sampled_from(["inside", "outside", "object"]),
+    st.integers(0, 2**16),
+)
+def test_hill_climb_matches_generator_walk(case, anchor_kind, anchor_seed):
+    data, object_indices, grid, cells, lows, spans = _grid_and_oracle_cells(case)
+    anchor = _anchor(data, object_indices, anchor_kind, anchor_seed)
+    expected = generator_hill_climb(
+        cells, lows, spans, np.asarray(case["dimensions"]), case["bins"], anchor
+    )
+    _assert_same_search(grid.hill_climb(anchor), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cases())
+def test_absolute_peak_matches_dict_max(case):
+    _, _, grid, cells, _, _ = _grid_and_oracle_cells(case)
+    _assert_same_search(grid.absolute_peak(), dict_absolute_peak(cells))
+
+
+def test_coarse_data_searches_break_density_ties_like_the_oracles():
+    # Six objects, two per occupied cell: every search ends on a tie.  The
+    # first object's cell is not the one with the lowest bin tuple.
+    data = np.array([[2.0, 2.0], [0.0, 0.0], [0.0, 2.0], [2.0, 2.0], [0.0, 0.0], [0.0, 2.0]])
+    grid = Grid(data, [0, 1], bins_per_dimension=3)
+    cells, lows, spans = per_cell_loop_cells(data, [0, 1], 3, np.arange(6))
+    assert sorted(cells[cell].size for cell in cells) == [2, 2, 2]
+    _assert_same_search(grid.absolute_peak(), dict_absolute_peak(cells))
+    assert grid.absolute_peak().cell == (2, 2)
+    for anchor in ([1.0, 1.0], [1.0, 0.0], [2.0, 0.0], [-5.0, 9.0]):
+        expected = generator_hill_climb(cells, lows, spans, np.array([0, 1]), 3, anchor)
+        _assert_same_search(grid.hill_climb(np.asarray(anchor)), expected)
+
+
+def test_searches_match_oracles_past_the_int64_cell_range():
+    # 4 building dimensions with bins ** 4 just above 2 ** 63: the cell
+    # codes are re-ranked before the last digit.
+    bins = int(2 ** (63 / 4)) + 1
+    assert 2**63 < bins**4 < 2**64
+    rng = np.random.default_rng(5)
+    # A blob spanning a few bins per dimension (so cells hold 0-3
+    # objects and climbs move), inside a range set by two corner rows.
+    blob = rng.integers(20000, 20003, size=(60, 4)) + rng.uniform(0.2, 0.8, size=(60, 4))
+    corners = np.array([[0.0] * 4, [float(bins)] * 4])
+    data = np.vstack([corners, blob, rng.uniform(0, bins, size=(20, 4))])
+    dimensions = np.arange(4)
+    restrict_to = np.sort(rng.permutation(data.shape[0])[:70])
+    restrict_to = np.union1d(restrict_to, [0, 1])
+    grid = Grid(data, dimensions, bins_per_dimension=bins, restrict_to=restrict_to)
+    cells, lows, spans = per_cell_loop_cells(data, dimensions, bins, restrict_to)
+    assert list(grid.cells()) == list(cells)
+    _assert_same_search(grid.absolute_peak(), dict_absolute_peak(cells))
+    anchors = [data[row] for row in range(data.shape[0])]
+    anchors += [data[row] + rng.uniform(-2.5, 2.5, size=4) for row in range(2, 62)]
+    climbed = 0
+    for anchor in anchors:
+        expected = generator_hill_climb(cells, lows, spans, dimensions, bins, anchor)
+        result = grid.hill_climb(anchor)
+        _assert_same_search(result, expected)
+        climbed += result.cell != grid.cell_of(anchor)
+    assert climbed > 0
+    # A cell whose prefix never occurs among the objects is empty.
+    assert grid.cell_density((bins - 1, 0, bins - 1, 0)) == 0
 
 
 # ---------------------------------------------------------------------- #
