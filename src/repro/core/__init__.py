@@ -41,7 +41,7 @@ from repro.core.objective import (
 )
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.dimension_selection import select_dimensions
-from repro.core.grid import Grid, GridSearchResult
+from repro.core.grid import Grid, GridSearchResult, GridSpace
 from repro.core.seed_groups import SeedGroup, SeedGroupBuilder
 from repro.core.sspc import SSPC
 from repro.core.analysis import (
@@ -65,6 +65,7 @@ __all__ = [
     "select_dimensions",
     "Grid",
     "GridSearchResult",
+    "GridSpace",
     "SeedGroup",
     "SeedGroupBuilder",
     "SSPC",

@@ -17,6 +17,11 @@ Two peak-finding modes are needed:
   object) — used when an approximate cluster centre is known, and also to
   cope with grids whose building dimensions are relevant to several
   clusters (multiple peaks).
+
+All ``g`` grids of one seed-group search place the same objects, so a
+:class:`GridSpace` validates, gathers and bins those objects once per
+search, and each :class:`Grid` reads its building dimensions' bin rows
+from it.
 """
 
 from __future__ import annotations
@@ -70,6 +75,110 @@ def _moore_offsets(n_dimensions: int) -> np.ndarray:
     return offsets
 
 
+class GridSpace:
+    """The objects of one seed-group search, validated and binned once.
+
+    Every grid of a search places the same objects and takes its
+    building dimensions from one candidate set, so the work the grids
+    share happens here, once per search: validating the inputs,
+    gathering the objects over the candidate dimensions, each
+    dimension's low and span, and binning the block for every bin count
+    asked for.  Only the bin indices are kept, one compact unsigned row
+    per candidate dimension; the float block is dropped once binned.  A
+    :class:`Grid` then folds just its building dimensions' rows into cell
+    codes, and :func:`one_dimensional_density_profile` counts over the
+    same rows.
+
+    Parameters
+    ----------
+    data:
+        The full ``(n, d)`` dataset.
+    candidate_dimensions:
+        The dimensions grids over this space may be built on.
+    restrict_to:
+        Optional subset of object indices to place in the grids (used
+        when previously seeded clusters' likely members are excluded);
+        every object by default.
+    bins:
+        The numbers of equal-width bins per dimension to prepare, each
+        at least 2.  A grid or density profile over the space uses one
+        of them.
+    """
+
+    def __init__(
+        self,
+        data,
+        candidate_dimensions: Sequence[int],
+        restrict_to: Optional[Sequence[int]] = None,
+        *,
+        bins: Sequence[int],
+    ) -> None:
+        data = check_array_2d(data, name="data")
+        n_objects, self.n_dimensions = data.shape
+        self.candidate_dimensions = check_index_sequence(
+            candidate_dimensions, self.n_dimensions, name="candidate_dimensions", allow_empty=False
+        )
+        if restrict_to is None:
+            self.object_indices = np.arange(n_objects)
+        else:
+            self.object_indices = check_index_sequence(
+                restrict_to, n_objects, name="restrict_to", allow_empty=False
+            )
+        self.object_indices.flags.writeable = False  # shared by every grid of the space
+        bin_counts = [check_positive_int(count, name="bins", minimum=2) for count in bins]
+        # Block row of every dimension (-1 for a dimension that is no candidate).
+        self._rows = np.full(self.n_dimensions, -1)
+        self._rows[self.candidate_dimensions] = np.arange(self.candidate_dimensions.size)
+
+        # One row per candidate dimension: every reduction below runs
+        # along contiguous memory, and a grid's bin rows are contiguous.
+        # The arithmetic is elementwise, so the bins are the ones a
+        # row-per-object layout gives.
+        values = data.T[self.candidate_dimensions].take(self.object_indices, axis=1)
+        self.lows = values.min(axis=1)
+        highs = values.max(axis=1)
+        self.spans = np.where(highs > self.lows, highs - self.lows, 1.0)
+        # Scale each coordinate into [0, bins) and clip the right edge so the
+        # maximum falls in the last bin rather than a phantom extra bin.
+        # (values - lows) / spans is shared by every bin count, in place.
+        np.subtract(values, self.lows[:, None], out=values)
+        np.divide(values, self.spans[:, None], out=values)
+        self.lows.flags.writeable = self.spans.flags.writeable = False
+        self._binned: Dict[int, np.ndarray] = {}
+        for count in bin_counts:
+            # Scaled values lie in [0, count]: the compact cast truncates
+            # them the way an int cast does.
+            binned = (values * count).astype(np.min_scalar_type(count))
+            np.minimum(binned, count - 1, out=binned)
+            binned.flags.writeable = False
+            self._binned[count] = binned
+
+    @property
+    def n_objects(self) -> int:
+        """Number of objects placed in the space."""
+        return int(self.object_indices.size)
+
+    def binned(self, bins: int) -> np.ndarray:
+        """The ``(candidates, objects)`` bin indices for ``bins`` bins per dimension."""
+        block = self._binned.get(bins)
+        if block is None:
+            raise ValueError(
+                "bins=%r was not prepared for this grid space (prepared: %s)"
+                % (bins, sorted(self._binned))
+            )
+        return block
+
+    def rows_of(self, dimensions: np.ndarray) -> np.ndarray:
+        """Block rows of validated ``dimensions``, which must be candidates."""
+        rows = self._rows[dimensions]
+        if (rows < 0).any():
+            raise ValueError(
+                "dimensions %s are not candidate dimensions of the grid space"
+                % dimensions[rows < 0].tolist()
+            )
+        return rows
+
+
 class Grid:
     """Equal-width multi-dimensional histogram over selected dimensions.
 
@@ -82,62 +191,49 @@ class Grid:
 
     Parameters
     ----------
-    data:
-        The full ``(n, d)`` dataset.
+    space:
+        The :class:`GridSpace` holding the objects to place, binned.  An
+        ``(n, d)`` array stands for a space over all its objects with
+        ``dimensions`` as the only candidates.
     dimensions:
-        The building dimensions (the grid only spans these).
+        The building dimensions (the grid only spans these); each must be
+        a candidate dimension of ``space``.
     bins_per_dimension:
-        Number of equal-width bins per building dimension.  The paper
-        keeps the number of building dimensions small (3) so each cell
-        still holds enough objects; with ``b`` bins per dimension a grid
-        has ``b ** c`` cells.
-    restrict_to:
-        Optional subset of object indices to place in the grid (used when
-        previously seeded clusters' likely members are excluded).
+        Number of equal-width bins per building dimension, one of the
+        bin counts ``space`` prepared.  The paper keeps the number of
+        building dimensions small (3) so each cell still holds enough
+        objects; with ``b`` bins per dimension a grid has ``b ** c``
+        cells.
     """
 
     def __init__(
         self,
-        data,
+        space,
         dimensions: Sequence[int],
         *,
         bins_per_dimension: int = 5,
-        restrict_to: Optional[Sequence[int]] = None,
     ) -> None:
-        self.data = check_array_2d(data, name="data")
-        self.dimensions = check_index_sequence(
-            dimensions, self.data.shape[1], name="dimensions", allow_empty=False
-        )
+        if not isinstance(space, GridSpace):
+            # A caller that builds one grid passes the data itself.
+            space = GridSpace(space, dimensions, bins=(bins_per_dimension,))
+        self.space = space
         self.bins_per_dimension = check_positive_int(
             bins_per_dimension, name="bins_per_dimension", minimum=2
         )
-        if restrict_to is None:
-            self.object_indices = np.arange(self.data.shape[0])
-        else:
-            self.object_indices = check_index_sequence(
-                restrict_to, self.data.shape[0], name="restrict_to", allow_empty=False
-            )
+        self.dimensions = check_index_sequence(
+            dimensions, space.n_dimensions, name="dimensions", allow_empty=False
+        )
+        rows = space.rows_of(self.dimensions)
+        self.object_indices = space.object_indices
+        self._lows = space.lows[rows]
+        self._spans = space.spans[rows]
+        self._bins = space.binned(self.bins_per_dimension)[rows]
         self._build()
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
-        # One row per building dimension: every reduction below then runs
-        # along contiguous memory.  The arithmetic is elementwise, so the
-        # bins are the ones a row-per-object layout gives.
-        values = self.data.T[self.dimensions].take(self.object_indices, axis=1)
-        lows = values.min(axis=1)
-        highs = values.max(axis=1)
-        spans = np.where(highs > lows, highs - lows, 1.0)
-        # Scale each coordinate into [0, bins) and clip the right edge so the
-        # maximum falls in the last bin rather than a phantom extra bin.
-        scaled = (values - lows[:, None]) / spans[:, None] * self.bins_per_dimension
-        bin_indices = np.minimum(scaled.astype(int), self.bins_per_dimension - 1)
-
-        self._lows = lows
-        self._spans = spans
-        self._bins = bin_indices
         # Fold the bin rows into one code per object.  bins ** c may exceed
         # the int64 range, so before a digit that could overflow, the
         # partial codes are replaced by their ranks among their distinct
@@ -145,8 +241,9 @@ class Grid:
         # table is kept so that a cell tuple's prefix is ranked the same
         # way on lookup.
         bins = self.bins_per_dimension
+        bin_indices = self._bins
         self._rank_tables: Dict[int, np.ndarray] = {}
-        codes = bin_indices[0]
+        codes = bin_indices[0].astype(np.int64)  # the compact bin rows would wrap
         n_codes = bins
         for position in range(1, bin_indices.shape[0]):
             if n_codes * bins > _CODE_LIMIT:
@@ -207,7 +304,7 @@ class Grid:
         point that is not finite in a building dimension has no cell.
         """
         point = np.asarray(point, dtype=float).ravel()
-        if point.shape[0] != self.data.shape[1]:
+        if point.shape[0] != self.space.n_dimensions:
             raise ValueError("point must be a full d-dimensional vector")
         coords = point[self.dimensions]
         if not np.isfinite(coords).all():
@@ -348,38 +445,31 @@ def one_dimensional_density(
 
 
 def one_dimensional_density_profile(
-    data,
+    space: GridSpace,
     anchor: Sequence[float],
     *,
-    bins: int = 10,
-    restrict_to: Optional[Sequence[int]] = None,
+    bins: int,
 ) -> np.ndarray:
-    """:func:`one_dimensional_density` for every dimension in one pass.
+    """:func:`one_dimensional_density` for every candidate dimension of ``space``.
 
     The no-knowledge initialisation case needs the anchor-bin density of
     *all* ``d`` dimensions; calling the scalar helper per dimension costs
-    ``d`` validations and ``d`` Python-level passes.  This vectorised
-    version bins every column at once and returns the length-``d``
-    density vector, with values identical to the scalar helper.
+    ``d`` validations and ``d`` Python-level passes.  This version counts
+    over the bin rows ``space`` prepared for ``bins`` (the lows and spans
+    its grids use) and returns one density per candidate dimension, in
+    candidate order, with values identical to the scalar helper.
+    ``anchor`` is a full ``d``-vector; an anchor coordinate outside the
+    range falls in the nearest edge bin, and a non-finite one has no bin.
     """
-    data = check_array_2d(data, name="data")
-    bins = check_positive_int(bins, name="bins", minimum=2)
     anchor = np.asarray(anchor, dtype=float).ravel()
-    if anchor.shape[0] != data.shape[1]:
+    if anchor.shape[0] != space.n_dimensions:
         raise ValueError("anchor must provide one value per dimension")
-    if restrict_to is None:
-        block = data
-    else:
-        indices = check_index_sequence(
-            restrict_to, data.shape[0], name="restrict_to", allow_empty=False
-        )
-        block = data[indices]
-    lows = block.min(axis=0)
-    highs = block.max(axis=0)
-    spans = np.where(highs > lows, highs - lows, 1.0)
-    scaled = (block - lows) / spans * bins
-    bin_indices = np.minimum(scaled.astype(int), bins - 1)
-    anchor_scaled = (anchor - lows) / spans * bins
-    anchor_bins = np.clip(anchor_scaled.astype(int), 0, bins - 1)
-    counts = np.count_nonzero(bin_indices == anchor_bins, axis=0)
-    return counts / float(block.shape[0])
+    coords = anchor[space.candidate_dimensions]
+    if not np.isfinite(coords).all():
+        raise ValueError("anchor must be finite in the candidate dimensions")
+    bin_indices = space.binned(bins)
+    anchor_scaled = (coords - space.lows) / space.spans * bins
+    # Clip before the cast: a far-out coordinate would overflow int.
+    anchor_bins = np.clip(anchor_scaled, 0, bins - 1).astype(int)
+    counts = np.count_nonzero(bin_indices == anchor_bins[:, None], axis=1)
+    return counts / float(space.n_objects)

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.dimension_selection import select_dimensions
-from repro.core.grid import Grid, one_dimensional_density_profile
+from repro.core.grid import Grid, GridSpace, one_dimensional_density_profile
 from repro.core.objective import ObjectiveFunction
 from repro.core.thresholds import ChiSquareThreshold
 from repro.semisupervision.knowledge import Knowledge
@@ -256,15 +256,16 @@ class SeedGroupBuilder:
                 )
             with obs.span("fit.seed_groups.anchor", category="fit"):
                 anchor = self._labeled_object_anchor(labeled_objects)
-            seeds, peak_density = self._search_grids(
-                candidate_dims, candidate_weights, anchor, available_objects, rng
-            )
         else:  # kind == "dimensions"
             candidate_dims = labeled_dimensions
             candidate_weights = np.ones(candidate_dims.size)
-            seeds, peak_density = self._search_grids(
-                candidate_dims, candidate_weights, None, available_objects, rng
-            )
+            anchor = None
+        seeds, peak_density = self._search_grids(
+            self._grid_space(candidate_dims, available_objects),
+            candidate_weights,
+            anchor,
+            rng,
+        )
 
         if seeds.size == 0:
             # Degenerate fall-back: use the labeled objects themselves (if
@@ -359,14 +360,11 @@ class SeedGroupBuilder:
         anchor_point = self.objective.data[anchor_index]
 
         histogram_bins = max(2 * self._effective_bins(available_objects.size), 8)
+        space = self._grid_space(
+            np.arange(self.objective.n_dimensions), available_objects, histogram_bins
+        )
         with obs.span("fit.seed_groups.density_profile", category="fit"):
-            densities = one_dimensional_density_profile(
-                self.objective.data,
-                anchor_point,
-                bins=histogram_bins,
-                restrict_to=available_objects,
-            )
-        candidates = np.arange(self.objective.n_dimensions)
+            densities = one_dimensional_density_profile(space, anchor_point, bins=histogram_bins)
         # Weight dimensions by their density *excess* over the uniform
         # baseline (1/bins): a dimension relevant to the cluster centred at
         # the anchor shows a clear excess, while irrelevant dimensions hover
@@ -374,9 +372,7 @@ class SeedGroupBuilder:
         baseline = 1.0 / histogram_bins
         weights = np.maximum(densities - baseline, 0.0) + 0.1 * baseline
 
-        seeds, peak_density = self._search_grids(
-            candidates, weights, anchor_point, available_objects, rng
-        )
+        seeds, peak_density = self._search_grids(space, weights, anchor_point, rng)
         if seeds.size == 0:
             seeds = np.asarray([anchor_index], dtype=int)
         with obs.span("fit.seed_groups.select_dim", category="fit"):
@@ -408,26 +404,43 @@ class SeedGroupBuilder:
     # ------------------------------------------------------------------ #
     # grid search shared by all cases
     # ------------------------------------------------------------------ #
-    def _search_grids(
+    def _grid_space(
         self,
         candidate_dimensions: np.ndarray,
+        available: np.ndarray,
+        *extra_bins: int,
+    ) -> Optional[GridSpace]:
+        """The ``available`` objects over the candidates, binned once for a search.
+
+        Prepares the grids' bin count plus ``extra_bins``; ``None`` when
+        there are no candidates or no objects to search.
+        """
+        if candidate_dimensions.size == 0 or available.size == 0:
+            return None
+        bins = (self._effective_bins(available.size),) + extra_bins
+        with obs.span("fit.seed_groups.bin", category="fit"):
+            return GridSpace(self.objective.data, candidate_dimensions, available, bins=bins)
+
+    def _search_grids(
+        self,
+        space: Optional[GridSpace],
         weights: np.ndarray,
         anchor: Optional[np.ndarray],
-        available: np.ndarray,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, int]:
-        """Build ``grids_per_group`` grids over ``available`` objects.
+        """Build ``grids_per_group`` grids over ``space``.
 
+        ``weights`` holds one selection weight per candidate dimension.
         Returns the densest peak's members and its density.
         """
-        candidate_dimensions = np.asarray(candidate_dimensions, dtype=int)
-        if candidate_dimensions.size == 0 or available.size == 0:
+        if space is None:
             return np.empty(0, dtype=int), 0
+        candidate_dimensions = space.candidate_dimensions
         weights = np.asarray(weights, dtype=float)
         probabilities = weights / weights.sum() if weights.sum() > 0 else None
 
         n_building = min(self.grid_dimensions, candidate_dimensions.size)
-        bins = self._effective_bins(available.size)
+        bins = self._effective_bins(space.n_objects)
         best_members = np.empty(0, dtype=int)
         best_density = 0
         with obs.span("fit.seed_groups.grids", category="fit", grids=self.grids_per_group):
@@ -438,12 +451,7 @@ class SeedGroupBuilder:
                     replace=False,
                     p=probabilities,
                 )
-                grid = Grid(
-                    self.objective.data,
-                    building,
-                    bins_per_dimension=bins,
-                    restrict_to=available,
-                )
+                grid = Grid(space, building, bins_per_dimension=bins)
                 if anchor is not None:
                     result = grid.hill_climb(anchor)
                 else:

@@ -171,7 +171,7 @@ class TestScalabilityRunner:
             base_dimensions=20,
             n_clusters=3,
             l_real=4,
-            n_repeats=1,
+            n_repeats=5,
             random_state=6,
         )
         algorithms = {row.algorithm for row in rows}

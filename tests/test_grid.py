@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.grid import Grid, one_dimensional_density
+from repro.core.grid import Grid, GridSpace, one_dimensional_density
+
+
+def build_grid(data, dimensions, bins, restrict_to=None):
+    """A grid over a space whose only candidates are its building dimensions."""
+    space = GridSpace(data, dimensions, restrict_to, bins=(bins,))
+    return Grid(space, dimensions, bins_per_dimension=bins)
 
 
 def moore_neighbours(cell, bins):
@@ -29,25 +35,25 @@ def clustered_data():
 
 class TestGridConstruction:
     def test_all_objects_fall_in_some_cell(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=4)
+        grid = build_grid(clustered_data, [0, 1, 2], 4)
         total = sum(grid.cell_density(cell) for cell in grid.cells())
         assert total == clustered_data.shape[0]
 
     def test_restrict_to_limits_objects(self, clustered_data):
         subset = np.arange(50, 200)
-        grid = Grid(clustered_data, [0, 1], bins_per_dimension=4, restrict_to=subset)
+        grid = build_grid(clustered_data, [0, 1], 4, subset)
         total = sum(grid.cell_density(cell) for cell in grid.cells())
         assert total == subset.size
 
     def test_cell_of_point_consistent_with_membership(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=5)
+        grid = build_grid(clustered_data, [0, 1, 2], 5)
         for index in (0, 10, 199):
             cell = grid.cell_of(clustered_data[index])
             assert index in grid.cell_members(cell)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_cell_of_rejects_non_finite_building_coordinate(self, clustered_data, bad):
-        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=5)
+        grid = build_grid(clustered_data, [0, 1, 2], 5)
         point = clustered_data[0].copy()
         point[1] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -56,19 +62,19 @@ class TestGridConstruction:
             grid.hill_climb(point)
 
     def test_cell_of_ignores_non_building_coordinates(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=5)
+        grid = build_grid(clustered_data, [0, 1, 2], 5)
         point = clustered_data[0].copy()
         point[7] = np.nan
         assert grid.cell_of(point) == grid.cell_of(clustered_data[0])
 
     def test_far_out_point_lands_in_edge_cell(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1], bins_per_dimension=5)
+        grid = build_grid(clustered_data, [0, 1], 5)
         point = clustered_data[0].copy()
         point[0], point[1] = 1e300, -1e300
         assert grid.cell_of(point) == (4, 0)
 
     def test_cells_is_a_fresh_mapping(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1], bins_per_dimension=4)
+        grid = build_grid(clustered_data, [0, 1], 4)
         cells = grid.cells()
         assert len(cells) == grid.n_cells
         cell = next(iter(cells))
@@ -79,47 +85,87 @@ class TestGridConstruction:
         assert (grid.cell_members(cell) >= 0).all()
 
     def test_lookups_of_keys_outside_the_grid_are_empty(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1], bins_per_dimension=4)
+        grid = build_grid(clustered_data, [0, 1], 4)
         for cell in [(4, 0), (-1, 0), (0,), (0, 0, 0), (0.5, 1), ("a", "b")]:
             assert grid.cell_density(cell) == 0
             assert grid.cell_members(cell).size == 0
 
     def test_invalid_dimension_rejected(self, clustered_data):
         with pytest.raises(ValueError):
-            Grid(clustered_data, [0, 99], bins_per_dimension=4)
+            build_grid(clustered_data, [0, 99], 4)
 
     def test_requires_at_least_two_bins(self, clustered_data):
         with pytest.raises(ValueError):
-            Grid(clustered_data, [0], bins_per_dimension=1)
+            build_grid(clustered_data, [0], 1)
+
+    def test_grids_share_one_space(self, clustered_data):
+        subset = np.arange(20, 180)
+        space = GridSpace(clustered_data, np.arange(10), subset, bins=(4, 8))
+        for dims in ([0, 1, 2], [7, 3], [9]):
+            for bins in (4, 8):
+                shared = Grid(space, dims, bins_per_dimension=bins)
+                alone = build_grid(clustered_data, dims, bins, subset)
+                assert list(shared.cells()) == list(alone.cells())
+                for cell, members in alone.cells().items():
+                    np.testing.assert_array_equal(shared.cell_members(cell), members)
+
+    def test_array_stands_for_a_space_over_every_object(self, clustered_data):
+        grid = Grid(clustered_data, [2, 0], bins_per_dimension=6)
+        expected = build_grid(clustered_data, [2, 0], 6)
+        assert list(grid.cells()) == list(expected.cells())
+        assert grid.absolute_peak().cell == expected.absolute_peak().cell
+
+    def test_space_keeps_compact_read_only_bins(self, clustered_data):
+        space = GridSpace(clustered_data, [0, 1, 2], bins=(5, 16))
+        for bins in (5, 16):
+            block = space.binned(bins)
+            assert block.dtype == np.uint8 and block.shape == (3, 200)
+            assert not block.flags.writeable
+            assert block.max() == bins - 1
+        assert not space.object_indices.flags.writeable
+
+    def test_dimension_outside_the_candidates_rejected(self, clustered_data):
+        space = GridSpace(clustered_data, [0, 1, 2], bins=(4,))
+        with pytest.raises(ValueError, match="candidate"):
+            Grid(space, [0, 5], bins_per_dimension=4)
+        with pytest.raises(ValueError, match="must lie in"):
+            Grid(space, [0, 99], bins_per_dimension=4)
+
+    def test_unprepared_bin_count_rejected(self, clustered_data):
+        space = GridSpace(clustered_data, [0, 1, 2], bins=(4,))
+        with pytest.raises(ValueError, match="not prepared"):
+            Grid(space, [0, 1], bins_per_dimension=5)
+        with pytest.raises(ValueError):
+            Grid(space, [0, 1], bins_per_dimension=1)
 
     def test_constant_dimension_handled(self):
         data = np.column_stack([np.ones(30), np.linspace(0, 1, 30)])
-        grid = Grid(data, [0, 1], bins_per_dimension=3)
+        grid = build_grid(data, [0, 1], 3)
         assert grid.n_cells >= 1
 
 
 class TestPeakSearches:
     def test_absolute_peak_finds_cluster_core(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=4)
+        grid = build_grid(clustered_data, [0, 1, 2], 4)
         peak = grid.absolute_peak()
         # The dense region is the 50-object cluster; most peak members belong to it.
         assert peak.density >= 10
         assert np.mean(peak.members < 50) >= 0.85
 
     def test_peak_density_lower_with_irrelevant_dimension(self, clustered_data):
-        relevant = Grid(clustered_data, [0, 1, 2], bins_per_dimension=4).absolute_peak()
-        mixed = Grid(clustered_data, [0, 1, 7], bins_per_dimension=4).absolute_peak()
+        relevant = build_grid(clustered_data, [0, 1, 2], 4).absolute_peak()
+        mixed = build_grid(clustered_data, [0, 1, 7], 4).absolute_peak()
         assert relevant.density > mixed.density
 
     def test_hill_climb_from_cluster_median(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=4)
+        grid = build_grid(clustered_data, [0, 1, 2], 4)
         anchor = np.median(clustered_data[:50], axis=0)
         result = grid.hill_climb(anchor)
         assert result.density >= grid.cell_density(grid.cell_of(anchor))
         assert np.mean(result.members < 50) > 0.8
 
     def test_hill_climb_reaches_local_maximum(self, clustered_data):
-        grid = Grid(clustered_data, [0, 1], bins_per_dimension=5)
+        grid = build_grid(clustered_data, [0, 1], 5)
         result = grid.hill_climb(clustered_data[100])
         for neighbour in moore_neighbours(result.cell, 5):
             assert grid.cell_density(neighbour) <= result.density
@@ -127,14 +173,14 @@ class TestPeakSearches:
     def test_hill_climb_from_biased_anchor_recovers_peak(self, clustered_data):
         # Start from a point offset from the cluster centre (simulating a
         # labeled-object median biased to one side of the class).
-        grid = Grid(clustered_data, [0, 1, 2], bins_per_dimension=4)
+        grid = build_grid(clustered_data, [0, 1, 2], 4)
         biased = np.median(clustered_data[:50], axis=0)
         biased[0] += 8.0
         result = grid.hill_climb(biased)
         assert np.mean(result.members < 50) > 0.5
 
     def test_empty_grid_absolute_peak(self, clustered_data):
-        grid = Grid(clustered_data, [0], bins_per_dimension=3, restrict_to=[5])
+        grid = build_grid(clustered_data, [0], 3, [5])
         peak = grid.absolute_peak()
         assert peak.density == 1
 

@@ -259,7 +259,7 @@ def test_allowed_clusters_with_partner_maps_identical(dataset):
 
 def test_grid_build_matches_per_row_reference(dataset):
     """The vectorised cell grouping reproduces the per-row dict build."""
-    from repro.core.grid import Grid
+    from repro.core.grid import Grid, GridSpace
 
     rng = np.random.default_rng(8)
     for trial in range(3):
@@ -267,7 +267,8 @@ def test_grid_build_matches_per_row_reference(dataset):
         restrict = np.sort(
             rng.choice(dataset.data.shape[0], size=150, replace=False)
         )
-        grid = Grid(dataset.data, dims, bins_per_dimension=4, restrict_to=restrict)
+        space = GridSpace(dataset.data, dims, restrict, bins=(4,))
+        grid = Grid(space, dims, bins_per_dimension=4)
 
         # Reference: the seed implementation's row-order dictionary build.
         values = dataset.data[np.ix_(restrict, dims)]
@@ -287,29 +288,39 @@ def test_grid_build_matches_per_row_reference(dataset):
 
 def test_grid_build_supports_many_building_dimensions(dataset):
     """bins ** c may exceed the int64 range: cell codes are re-ranked."""
-    from repro.core.grid import Grid
+    from repro.core.grid import Grid, GridSpace
 
     dims = np.arange(min(30, dataset.data.shape[1]))  # 8 ** 30 >> 2 ** 63
-    grid = Grid(dataset.data, dims, bins_per_dimension=8)
+    grid = Grid(GridSpace(dataset.data, dims, bins=(8,)), dims, bins_per_dimension=8)
     assert grid.n_cells >= 1
     total = sum(grid.cell_density(cell) for cell in grid.cells())
     assert total == dataset.data.shape[0]
 
 
 def test_density_profile_matches_scalar_helper(dataset):
-    from repro.core.grid import one_dimensional_density, one_dimensional_density_profile
+    from repro.core.grid import GridSpace, one_dimensional_density, one_dimensional_density_profile
 
     rng = np.random.default_rng(6)
-    anchor = dataset.data[int(rng.integers(dataset.data.shape[0]))]
+    anchor = dataset.data[int(rng.integers(dataset.data.shape[0]))].copy()
+    # A far-out coordinate on each side lands in the edge bin.
+    anchor[0], anchor[1] = 1e300, -1e300
     restrict = np.sort(rng.choice(dataset.data.shape[0], size=120, replace=False))
-    profile = one_dimensional_density_profile(
-        dataset.data, anchor, bins=9, restrict_to=restrict
-    )
-    for dim in range(dataset.data.shape[1]):
+    n_dimensions = dataset.data.shape[1]
+    space = GridSpace(dataset.data, np.arange(n_dimensions), restrict, bins=(4, 9))
+    profile = one_dimensional_density_profile(space, anchor, bins=9)
+    for dim in range(n_dimensions):
         scalar = one_dimensional_density(
             dataset.data, dim, anchor[dim], bins=9, restrict_to=restrict
         )
         assert profile[dim] == scalar
+    last_bin = np.count_nonzero(space.binned(9)[0] == 8) / restrict.size
+    assert profile[0] == last_bin
+    # A non-finite anchor coordinate has no bin: both helpers raise.
+    anchor[2] = np.nan
+    with pytest.raises(ValueError):
+        one_dimensional_density(dataset.data, 2, anchor[2], bins=9, restrict_to=restrict)
+    with pytest.raises(ValueError, match="finite"):
+        one_dimensional_density_profile(space, anchor, bins=9)
 
 
 def test_partner_maps_cover_every_link():

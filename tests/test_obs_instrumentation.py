@@ -72,6 +72,7 @@ class TestFitInstrumentation:
         by_id = {s["id"]: s for s in rec.spans}
         phases = {
             "fit.seed_groups.anchor",
+            "fit.seed_groups.bin",
             "fit.seed_groups.density_profile",
             "fit.seed_groups.grids",
             "fit.seed_groups.select_dim",

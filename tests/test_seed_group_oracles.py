@@ -5,10 +5,14 @@ replaced:
 
 * the running-min max-min anchor against the recompute of every earlier
   group's distances for each new group;
+* a grid over a shared, once-binned ``GridSpace`` against the per-grid
+  gather, min/max and binning each grid once did for itself;
 * ``Grid.cells()`` against the per-cell Python loop that keyed each cell;
 * ``Grid.hill_climb`` against the greedy walk over a Moore-neighbour
   generator, and ``Grid.absolute_peak`` against ``max`` over the
   insertion-ordered cell dictionary;
+* ``one_dimensional_density_profile`` over a space against the scalar
+  ``one_dimensional_density`` of every candidate dimension;
 * ``check_index_sequence`` against the ``list()``-then-``np.unique``
   validator, for accepted and rejected inputs alike.
 """
@@ -22,7 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grid import Grid
+from repro.core.grid import (
+    Grid,
+    GridSpace,
+    one_dimensional_density,
+    one_dimensional_density_profile,
+)
 from repro.core.seed_groups import SeedGroup, _MaxMinAnchor
 from repro.utils.validation import check_index_sequence
 
@@ -53,6 +62,16 @@ def recompute_max_min(data, existing_groups, excluded_objects, rng):
         distances = (diffs**2).sum(axis=2).min(axis=1) / dims.size
         min_distance = np.minimum(min_distance, distances)
     return int(available[int(np.argmax(min_distance))])
+
+
+def per_grid_bins(data, dimensions, bins, object_indices):
+    """The bin rows ``Grid._build`` computed for each grid on its own."""
+    values = data.T[np.asarray(dimensions)].take(np.asarray(object_indices), axis=1)
+    lows = values.min(axis=1)
+    highs = values.max(axis=1)
+    spans = np.where(highs > lows, highs - lows, 1.0)
+    scaled = (values - lows[:, None]) / spans[:, None] * bins
+    return np.minimum(scaled.astype(int), bins - 1)
 
 
 def per_cell_loop_cells(data, dimensions, bins, object_indices):
@@ -240,7 +259,11 @@ def grid_cases(draw):
     n_objects = draw(st.integers(1, 60))
     n_dimensions = draw(st.integers(1, 6))
     n_building = draw(st.integers(1, min(4, n_dimensions)))
-    dimensions = draw(st.permutations(range(n_dimensions)))[:n_building]
+    # The space's candidates: any order, a superset of the building
+    # dimensions, which are drawn from them in any order.
+    n_candidates = draw(st.integers(n_building, n_dimensions))
+    candidates = draw(st.permutations(range(n_dimensions)))[:n_candidates]
+    dimensions = draw(st.permutations(candidates))[:n_building]
     restrict = draw(st.booleans())
     restrict_to = None
     if restrict:
@@ -253,21 +276,30 @@ def grid_cases(draw):
         "coarse": draw(st.booleans()),
         "n_objects": n_objects,
         "n_dimensions": n_dimensions,
+        "candidates": candidates,
         "dimensions": dimensions,
-        "bins": draw(st.integers(2, 8)),
+        "bins": draw(st.integers(2, 16)),
+        # Another bin count the space prepares alongside (the density
+        # profile's, in a public group's search).
+        "other_bins": draw(st.integers(2, 16)),
         "restrict_to": restrict_to,
     }
+
+
+def _space(data, case):
+    restrict_to = case["restrict_to"]
+    return GridSpace(
+        data,
+        case["candidates"],
+        None if restrict_to is None else np.asarray(restrict_to),
+        bins=(case["other_bins"], case["bins"]),
+    )
 
 
 def _grid_and_oracle_cells(case):
     data = _data(case["data_seed"], case["n_objects"], case["n_dimensions"], case["coarse"])
     restrict_to = case["restrict_to"]
-    grid = Grid(
-        data,
-        case["dimensions"],
-        bins_per_dimension=case["bins"],
-        restrict_to=None if restrict_to is None else np.asarray(restrict_to),
-    )
+    grid = Grid(_space(data, case), case["dimensions"], bins_per_dimension=case["bins"])
     object_indices = np.arange(data.shape[0]) if restrict_to is None else restrict_to
     cells, lows, spans = per_cell_loop_cells(data, case["dimensions"], case["bins"], object_indices)
     return data, object_indices, grid, cells, lows, spans
@@ -276,7 +308,7 @@ def _grid_and_oracle_cells(case):
 @settings(max_examples=200, deadline=None)
 @given(grid_cases())
 def test_grid_cells_match_per_cell_loop(case):
-    _, _, grid, expected, lows, spans = _grid_and_oracle_cells(case)
+    data, object_indices, grid, expected, lows, spans = _grid_and_oracle_cells(case)
     # Keys, their insertion order (absolute_peak's tie-break) and members.
     cells = grid.cells()
     assert list(cells) == list(expected)
@@ -285,6 +317,9 @@ def test_grid_cells_match_per_cell_loop(case):
         np.testing.assert_array_equal(cells[key], expected[key])
     np.testing.assert_array_equal(grid._lows, lows)
     np.testing.assert_array_equal(grid._spans, spans)
+    np.testing.assert_array_equal(
+        grid._bins, per_grid_bins(data, case["dimensions"], case["bins"], object_indices)
+    )
 
 
 def _anchor(data, object_indices, kind, seed):
@@ -331,11 +366,31 @@ def test_absolute_peak_matches_dict_max(case):
     _assert_same_search(grid.absolute_peak(), dict_absolute_peak(cells))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    grid_cases(),
+    st.sampled_from(["inside", "outside", "object"]),
+    st.integers(0, 2**16),
+)
+def test_density_profile_matches_scalar_helper(case, anchor_kind, anchor_seed):
+    data = _data(case["data_seed"], case["n_objects"], case["n_dimensions"], case["coarse"])
+    restrict_to = case["restrict_to"]
+    object_indices = np.arange(data.shape[0]) if restrict_to is None else restrict_to
+    anchor = _anchor(data, object_indices, anchor_kind, anchor_seed)
+    profile = one_dimensional_density_profile(_space(data, case), anchor, bins=case["bins"])
+    assert profile.shape == (len(case["candidates"]),)
+    for position, dimension in enumerate(case["candidates"]):
+        expected = one_dimensional_density(
+            data, dimension, anchor[dimension], bins=case["bins"], restrict_to=restrict_to
+        )
+        assert profile[position] == expected
+
+
 def test_coarse_data_searches_break_density_ties_like_the_oracles():
     # Six objects, two per occupied cell: every search ends on a tie.  The
     # first object's cell is not the one with the lowest bin tuple.
     data = np.array([[2.0, 2.0], [0.0, 0.0], [0.0, 2.0], [2.0, 2.0], [0.0, 0.0], [0.0, 2.0]])
-    grid = Grid(data, [0, 1], bins_per_dimension=3)
+    grid = Grid(GridSpace(data, [0, 1], bins=(3,)), [0, 1], bins_per_dimension=3)
     cells, lows, spans = per_cell_loop_cells(data, [0, 1], 3, np.arange(6))
     assert sorted(cells[cell].size for cell in cells) == [2, 2, 2]
     _assert_same_search(grid.absolute_peak(), dict_absolute_peak(cells))
@@ -359,7 +414,11 @@ def test_searches_match_oracles_past_the_int64_cell_range():
     dimensions = np.arange(4)
     restrict_to = np.sort(rng.permutation(data.shape[0])[:70])
     restrict_to = np.union1d(restrict_to, [0, 1])
-    grid = Grid(data, dimensions, bins_per_dimension=bins, restrict_to=restrict_to)
+    grid = Grid(
+        GridSpace(data, dimensions, restrict_to, bins=(bins,)),
+        dimensions,
+        bins_per_dimension=bins,
+    )
     cells, lows, spans = per_cell_loop_cells(data, dimensions, bins, restrict_to)
     assert list(grid.cells()) == list(cells)
     _assert_same_search(grid.absolute_peak(), dict_absolute_peak(cells))
@@ -374,6 +433,46 @@ def test_searches_match_oracles_past_the_int64_cell_range():
     assert climbed > 0
     # A cell whose prefix never occurs among the objects is empty.
     assert grid.cell_density((bins - 1, 0, bins - 1, 0)) == 0
+
+
+# ---------------------------------------------------------------------- #
+# grid space validation
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_space_rejects_non_finite_candidate_column(bad):
+    data = np.arange(40.0).reshape(10, 4)
+    data[3, 2] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        GridSpace(data, [0, 2], bins=(3,))
+
+
+@pytest.mark.parametrize(
+    "restrict_to, message",
+    [([0, 10], "must lie in"), ([-1, 2], "must lie in"), ([4, 1, 4], "duplicate")],
+)
+def test_space_rejects_bad_restrict_to(restrict_to, message):
+    data = np.arange(40.0).reshape(10, 4)
+    with pytest.raises(ValueError, match=message):
+        GridSpace(data, [0, 2], restrict_to, bins=(3,))
+
+
+def test_space_validates_once_for_all_its_grids(monkeypatch):
+    import repro.core.grid as grid_module
+
+    calls = []
+    original = grid_module.check_array_2d
+
+    def counting(data, **kwargs):
+        calls.append(kwargs.get("name"))
+        return original(data, **kwargs)
+
+    monkeypatch.setattr(grid_module, "check_array_2d", counting)
+    data = np.random.default_rng(3).normal(size=(30, 5))
+    space = GridSpace(data, [0, 1, 3, 4], np.arange(2, 30), bins=(3, 6))
+    for dimensions in ([0, 1], [4, 3, 0], [1]):
+        Grid(space, dimensions, bins_per_dimension=3).absolute_peak()
+    one_dimensional_density_profile(space, data[5], bins=6)
+    assert calls == ["data"]
 
 
 # ---------------------------------------------------------------------- #
