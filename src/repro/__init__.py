@@ -46,7 +46,7 @@ from repro.serving import ModelArtifact, ProjectedClusterIndex, load_artifact
 from repro.stream import StreamConfig, StreamingSSPC
 
 #: Must equal ``[project] version`` in pyproject.toml (tests/test_version.py).
-__version__ = "2.2.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "SSPC",

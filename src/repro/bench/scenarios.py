@@ -30,8 +30,6 @@ from repro.bench.chaos import (
     chaos_plan,
 )
 from repro.bench.scenario import MetricSpec, Scenario, TaskSpec
-from repro.bench.perf_assignment import run_benchmark as run_assignment_benchmark
-from repro.bench.perf_hotpath import run_benchmark as run_hotpath_benchmark
 from repro.bench.perf_obs import run_benchmark as run_obs_benchmark
 from repro.bench.perf_serving import run_benchmark as run_serving_benchmark
 from repro.bench.perf_serving_load import run_benchmark as run_serving_load_benchmark
@@ -797,7 +795,7 @@ def _aggregate_ablations(payloads: Sequence[Mapping[str, object]]) -> Dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# Perf: hot path + serving
+# Perf: serving, observability and streaming
 # ---------------------------------------------------------------------------
 
 
@@ -808,55 +806,6 @@ SERVING_MIN_POINTS_PER_SEC = 10_000
 
 def _plan_single(config: Mapping[str, object]) -> List[TaskSpec]:
     return [TaskSpec(name="all", params=dict(config))]
-
-
-def _execute_hotpath(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_objects=int(params["n_objects"]),
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        iterations=int(params["iterations"]),
-        repeats=int(params["repeats"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_hotpath_benchmark(args)
-
-
-def _aggregate_hotpath(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
-    report = dict(payloads[0])
-    table = "\n".join(
-        [
-            "naive     : %.4f s/iteration (%d statistics passes)"
-            % (report["naive_seconds_per_iteration"], report["stat_passes_naive_last_repeat"]),
-            "optimized : %.4f s/iteration (%d statistics passes)"
-            % (
-                report["optimized_seconds_per_iteration"],
-                report["stat_passes_optimized_last_repeat"],
-            ),
-            "speedup   : %.2fx   stat-pass reduction: %.2fx"
-            % (report["speedup"], report["stat_pass_reduction"]),
-            "peak mem  : naive %.2f MiB, optimized %.2f MiB"
-            % (
-                report.get("peak_naive_mib", float("nan")),
-                report.get("peak_optimized_mib", float("nan")),
-            ),
-            "results identical: %s" % report["results_identical"],
-        ]
-    )
-    return {
-        "metrics": {
-            "speedup": float(report["speedup"]),
-            "stat_pass_reduction": float(report["stat_pass_reduction"]),
-            "results_identical": 1.0 if report["results_identical"] else 0.0,
-            "naive_seconds_per_iteration": float(report["naive_seconds_per_iteration"]),
-            "optimized_seconds_per_iteration": float(report["optimized_seconds_per_iteration"]),
-            "peak_naive_mib": float(report.get("peak_naive_mib", float("nan"))),
-            "peak_optimized_mib": float(report.get("peak_optimized_mib", float("nan"))),
-        },
-        "table": table,
-        "details": {"report": report},
-    }
 
 
 def _execute_serving(params: Mapping[str, object]) -> Dict[str, object]:
@@ -1024,60 +973,6 @@ def _aggregate_obs(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object
             "n_subsystems": float(len(report["categories"])),
         },
         "table": table,
-        "details": {"report": report},
-    }
-
-
-def _execute_assignment(params: Mapping[str, object]) -> Dict[str, object]:
-    args = argparse.Namespace(
-        n_objects=int(params["n_objects"]),
-        n_dimensions=int(params["n_dimensions"]),
-        n_clusters=int(params["n_clusters"]),
-        rounds=int(params["rounds"]),
-        repeats=int(params["repeats"]),
-        block_rows=int(params["block_rows"]),
-        seed=int(params["seed"]),
-        smoke=False,
-    )
-    return run_assignment_benchmark(args)
-
-
-def _aggregate_assignment(payloads: Sequence[Mapping[str, object]]) -> Dict[str, object]:
-    report = dict(payloads[0])
-    lines = []
-    for fraction in report["dirty_fractions"]:
-        point = report["sweep"]["%g" % fraction]
-        lines.append(
-            "dirty %4.0f%% : naive %.3f ms  engine %.3f ms  speedup %.2fx"
-            % (
-                float(fraction) * 100,
-                point["naive_seconds_per_round"] * 1e3,
-                point["engine_seconds_per_round"] * 1e3,
-                point["speedup"],
-            )
-        )
-    lines.append(
-        "peak memory : broadcast %.2f MiB  blocked %.2f MiB"
-        % (report["peak_broadcast_mib"], report["peak_blocked_mib"])
-    )
-    lines.append("results identical: %s" % report["results_identical"])
-    return {
-        "metrics": {
-            "results_identical": 1.0 if report["results_identical"] else 0.0,
-            # Hard >=2x floor on the near-converged (<=10% dirty)
-            # regime: bit-exact booleans gate absolutely, so runner
-            # speed cannot flake it the way a raw ratio could.
-            "near_converged_floor_ok": 1.0 if report["near_converged_floor_ok"] else 0.0,
-            "near_converged_speedup": float(report["near_converged_speedup"]),
-            "half_dirty_speedup": float(report["half_dirty_speedup"]),
-            "full_recompute_speedup": float(report["full_recompute_speedup"]),
-            "naive_seconds_per_round": float(report["naive_seconds_per_round"]),
-            "engine_seconds_per_round": float(report["engine_seconds_per_round"]),
-            "peak_broadcast_mib": float(report["peak_broadcast_mib"]),
-            "peak_blocked_mib": float(report["peak_blocked_mib"]),
-            "blocked_memory_fraction": float(report["blocked_memory_fraction"]),
-        },
-        "table": "\n".join(lines),
         "details": {"report": report},
     }
 
@@ -1654,58 +1549,6 @@ registry.register(
 
 registry.register(
     Scenario(
-        scenario_id="hotpath",
-        figure="perf",
-        title="SSPC hot-loop micro-benchmark: fused/cached vs naive (bit-identical)",
-        group="perf",
-        scale_configs={
-            "smoke": {
-                "n_objects": 600,
-                "n_dimensions": 40,
-                "n_clusters": 5,
-                "iterations": 2,
-                "repeats": 3,
-                "seed": 13,
-            },
-            "reduced": {
-                "n_objects": 2000,
-                "n_dimensions": 60,
-                "n_clusters": 8,
-                "iterations": 3,
-                "repeats": 3,
-                "seed": 13,
-            },
-            "paper": {
-                "n_objects": 5000,
-                "n_dimensions": 100,
-                "n_clusters": 10,
-                "iterations": 5,
-                "repeats": 3,
-                "seed": 13,
-            },
-        },
-        plan=_plan_single,
-        execute=_execute_hotpath,
-        aggregate=_aggregate_hotpath,
-        metrics=(
-            MetricSpec("results_identical", "accuracy", "higher", 0.0),
-            MetricSpec("stat_pass_reduction", "accuracy", "higher", 1e-6),
-            # The baselines are measured serially; sharded CI runs this
-            # scenario concurrently with its whole group, which swings
-            # the naive arm's wall clock (and hence this ratio) several
-            # fold — the tolerance absorbs that contention, the ratio
-            # still catches the fused path degenerating to naive speed.
-            MetricSpec("speedup", "throughput", "higher", 0.65),
-            MetricSpec("naive_seconds_per_iteration", "timing"),
-            MetricSpec("optimized_seconds_per_iteration", "timing"),
-            MetricSpec("peak_naive_mib", "info"),
-            MetricSpec("peak_optimized_mib", "info"),
-        ),
-    )
-)
-
-registry.register(
-    Scenario(
         scenario_id="obs_overhead",
         figure="perf",
         title="Observability cost gate: <2% disabled overhead, bit-identical enabled",
@@ -1761,63 +1604,6 @@ registry.register(
             MetricSpec("per_telemetry_record_ns", "info"),
             MetricSpec("telemetry_overhead_pct", "info"),
             MetricSpec("n_subsystems", "info"),
-        ),
-    )
-)
-
-registry.register(
-    Scenario(
-        scenario_id="perf_assignment",
-        figure="perf",
-        title="Incremental assignment engine: dirty-fraction sweep vs full recompute",
-        group="perf",
-        scale_configs={
-            "smoke": {
-                "n_objects": 2500,
-                "n_dimensions": 50,
-                "n_clusters": 10,
-                "rounds": 8,
-                "repeats": 3,
-                "block_rows": 512,
-                "seed": 19,
-            },
-            "reduced": {
-                "n_objects": 4000,
-                "n_dimensions": 60,
-                "n_clusters": 10,
-                "rounds": 10,
-                "repeats": 3,
-                "block_rows": 512,
-                "seed": 19,
-            },
-            "paper": {
-                "n_objects": 10000,
-                "n_dimensions": 100,
-                "n_clusters": 12,
-                "rounds": 12,
-                "repeats": 3,
-                "block_rows": 512,
-                "seed": 19,
-            },
-        },
-        plan=_plan_single,
-        execute=_execute_assignment,
-        aggregate=_aggregate_assignment,
-        metrics=(
-            MetricSpec("results_identical", "accuracy", "higher", 0.0),
-            # The load-bearing gate: >=2x measured in-process, immune to
-            # runner speed.  The relative ratios below carry wide
-            # tolerances because the serially-measured baselines sit
-            # well above what a contended CI shard observes.
-            MetricSpec("near_converged_floor_ok", "accuracy", "higher", 0.0),
-            MetricSpec("near_converged_speedup", "throughput", "higher", 0.75),
-            MetricSpec("half_dirty_speedup", "throughput", "higher", 0.65),
-            MetricSpec("full_recompute_speedup", "info"),
-            MetricSpec("naive_seconds_per_round", "timing"),
-            MetricSpec("engine_seconds_per_round", "timing"),
-            MetricSpec("peak_broadcast_mib", "info"),
-            MetricSpec("peak_blocked_mib", "info"),
-            MetricSpec("blocked_memory_fraction", "info"),
         ),
     )
 )

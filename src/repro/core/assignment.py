@@ -80,7 +80,7 @@ def compute_gains_matrix(
     engine's read-only cache).  ``fused=False`` keeps the
     one-cluster-at-a-time reference loop, which always recomputes
     everything.  The two paths are bit-identical — the naive path exists
-    for the equivalence tests and the hot-path benchmark.
+    as the oracle of the equivalence tests.
     """
     n_objects = objective.n_objects
     if not fused:

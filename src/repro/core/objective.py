@@ -75,7 +75,7 @@ def grouped_assignment_gains(
     which holds the grouped stacks persistently, recomputes only dirty
     columns against a fixed point set and evaluates in bounded row
     blocks; its results are bit-identical to this kernel (enforced by
-    the equivalence suite and the ``perf_assignment`` bench scenario).
+    the equivalence suite, ``tests/test_assignment_engine.py``).
 
     Parameters
     ----------

@@ -38,9 +38,9 @@ builder all hit the same store), and the baselines
 same engine for their own per-cluster statistics.
 
 Setting ``max_entries=0`` disables storage entirely (every call computes
-fresh statistics); the micro-benchmark
-(``benchmarks/bench_hotpath.py``) uses this to time the naive reference
-path against the cached path on identical code.
+fresh statistics); the equivalence suite
+(``tests/test_hotpath_equivalence.py``) uses this as the naive reference
+path and checks the cached path against it on identical code.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class ClusterStatsCache:
     ----------
     hits, misses:
         Lookup counters.  ``misses`` equals the number of full-data
-        statistics passes actually performed, so consumers (tests, the
-        hot-path benchmark) can assert the single-pass invariant.
+        statistics passes actually performed, so consumers (tests,
+        perfbench's layer tracing) can assert the single-pass invariant.
     evictions:
         Entries dropped by the LRU bound.  A non-trivial eviction count
         with a low :attr:`hit_rate` means the working set outgrew

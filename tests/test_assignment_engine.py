@@ -8,10 +8,13 @@ cached matrix equals a from-scratch
 after every step.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.assignment_engine import AssignmentEngine
+from repro.core.dimension_selection import select_dimensions
 from repro.core.objective import ObjectiveFunction, grouped_assignment_gains
 from repro.core.thresholds import VarianceRatioThreshold
 from repro.data.generator import SyntheticDataGenerator
@@ -106,6 +109,45 @@ class TestBlockedEvaluation:
             engine.gains()
             engine.compute(points[:100])
         assert engine._workspace is workspace
+
+    def test_blocked_pass_never_materialises_the_broadcast(self):
+        """One full engine pass peaks well under one reference call, which
+        builds the whole ``(n, g, c)`` broadcast (traced by tracemalloc)."""
+        n_clusters = 10
+        generated = SyntheticDataGenerator(
+            n_objects=2500,
+            n_dimensions=50,
+            n_clusters=n_clusters,
+            avg_cluster_dimensionality=5,
+            outlier_fraction=0.05,
+            random_state=19,
+        ).generate(19)
+        data = generated.data
+        objective = ObjectiveFunction(data, VarianceRatioThreshold(m=0.5))
+        dims, centers, thresholds = [], [], []
+        for cluster in range(n_clusters):
+            members = np.flatnonzero(generated.labels == cluster)
+            selected = select_dimensions(objective, members)
+            assert selected.size > 0
+            dims.append(selected)
+            centers.append(np.median(data[members][:, selected], axis=0))
+            thresholds.append(objective.threshold.values(members.size)[selected])
+        engine = AssignmentEngine(data, block_rows=512)
+        engine.set_clusters(dims, centers, thresholds)
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        broadcast_peak = traced_peak(
+            lambda: grouped_assignment_gains(data, dims, centers, thresholds)
+        )
+        blocked_peak = traced_peak(engine.gains)  # every column dirty: a full pass
+        assert blocked_peak <= 0.5 * broadcast_peak
 
 
 class TestDirtyTracking:

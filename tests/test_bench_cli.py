@@ -39,7 +39,7 @@ class TestList:
     def test_group_filter(self, capsys):
         assert main(["list", "--suite", "smoke", "--group", "perf"]) == 0
         out = capsys.readouterr().out
-        assert "hotpath" in out
+        assert "obs_overhead" in out
         assert FAST_SCENARIO not in out
 
     def test_unknown_group_raises(self):

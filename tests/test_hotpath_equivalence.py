@@ -15,7 +15,9 @@ import pytest
 
 import repro.core.assignment as assignment_module
 from repro.core.assignment import ClusterState, assign_objects, compute_gains_matrix
+from repro.core.dimension_selection import select_dimensions
 from repro.core.objective import ObjectiveFunction
+from repro.core.representatives import compute_phi_scores, replace_representatives
 from repro.core.sspc import SSPC
 from repro.core.stats_cache import ClusterStatsCache
 from repro.core.thresholds import ChiSquareThreshold, VarianceRatioThreshold
@@ -221,6 +223,65 @@ def test_fit_records_fewer_statistics_passes(dataset):
     fast = SSPC(n_clusters=3, random_state=7).fit(dataset.data)
     naive = NaiveSSPC(n_clusters=3, random_state=7).fit(dataset.data)
     assert fast.stats_cache_.n_stat_passes * 2 <= naive.stats_cache_.n_stat_passes
+
+
+def _one_loop_iteration(data, labels, n_clusters, *, max_entries):
+    """SelectDim, phi and median replacement over fixed member sets."""
+    cache = ClusterStatsCache(data, max_entries=max_entries)
+    objective = ObjectiveFunction(data, VarianceRatioThreshold(m=0.5), stats_cache=cache)
+    states = []
+    for cluster in range(n_clusters):
+        members = np.flatnonzero(labels == cluster)
+        states.append(
+            ClusterState(
+                representative=data[members[0]].copy(),
+                dimensions=np.empty(0, dtype=int),
+                members=members,
+                size_hint=members.size,
+            )
+        )
+    for state in states:
+        state.dimensions = select_dimensions(objective, state.members)
+    _, phi = compute_phi_scores(objective, states)
+    next_states = replace_representatives(
+        objective, states, bad_cluster=-1, new_medoid=None, new_medoid_dimensions=None
+    )
+    return cache.n_stat_passes, states, phi, next_states
+
+
+@pytest.mark.parametrize("n_objects, n_dimensions, n_clusters", [(600, 40, 5), (2000, 60, 8)])
+def test_loop_iteration_makes_one_statistics_pass_per_cluster(
+    n_objects, n_dimensions, n_clusters
+):
+    """The shared cache serves all three consumers from one pass per cluster.
+
+    Without storage (``max_entries=0``) SelectDim, the phi evaluation and
+    the median replacement each recompute the statistics: exactly three
+    passes per cluster.
+    """
+    generated = SyntheticDataGenerator(
+        n_objects=n_objects,
+        n_dimensions=n_dimensions,
+        n_clusters=n_clusters,
+        avg_cluster_dimensionality=max(n_dimensions // 10, 3),
+        outlier_fraction=0.05,
+        random_state=13,
+    ).generate(13)
+    cached_passes, cached_states, cached_phi, cached_next = _one_loop_iteration(
+        generated.data, generated.labels, n_clusters, max_entries=128
+    )
+    naive_passes, naive_states, naive_phi, naive_next = _one_loop_iteration(
+        generated.data, generated.labels, n_clusters, max_entries=0
+    )
+
+    assert all(state.dimensions.size > 0 for state in cached_states)
+    assert cached_passes == n_clusters
+    assert naive_passes == 3 * n_clusters
+    assert cached_phi == naive_phi
+    for cached, naive in zip(cached_states, naive_states):
+        assert np.array_equal(cached.dimensions, naive.dimensions)
+    for cached, naive in zip(cached_next, naive_next):
+        assert np.array_equal(cached.representative, naive.representative)
 
 
 def test_threshold_values_memoized():
